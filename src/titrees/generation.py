@@ -16,14 +16,23 @@ order k, the transmission of any vertex of a candidate differs from the
 new root's transmission by an offset that depends only on the subtree
 containing it, so each pool tree gets a bitmask of offsets and a
 candidate is TI exactly when the chosen masks are pairwise disjoint.
+
+The disjointness test is bit-sliced, as in the vertical bitsets of
+bit-parallel clique search (San Segundo, Rodriguez-Losada and Jimenez,
+Computers & OR 38, 2011).  Each pool is transposed once per joined
+order: column b is an int bitset over pool indices whose mask has bit b.
+Choosing a tree ORs the columns of its offsets into a "forbidden" bitset
+of every later coordinate, so the trees still allowed at a coordinate
+are one big-int AND-NOT away, and the last coordinate is counted with
+``bit_count()`` instead of being tested tree by tree.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from functools import reduce
+from operator import or_
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .enumeration import IncreasingSequence, generate_increasing, generate_wti_trees
 from .wti import WTITree, join_wti_trees
@@ -135,58 +144,107 @@ def _offset_mask(tree: WTITree, joined_order: int) -> int | None:
     return mask
 
 
-MaskedPool = list[tuple[int, WTITree]]
+class SlicedPool(NamedTuple):
+    """The trees of one pool with a mask for one joined order, transposed.
+
+    ``trees`` keeps pool order and ``offsets[j]`` lists the set bits of
+    the mask of ``trees[j]``.  ``columns[b]`` has bit j set iff that mask
+    has bit b; it has one entry per possible offset, all below k * k for
+    joined order k (a vertex at level l < c of a tree of order c < k/2
+    has offset at most k - 2c + l(k - 2)).  ``full`` has a bit per tree.
+    """
+
+    trees: list[WTITree]
+    offsets: list[list[int]]
+    columns: list[int]
+    full: int
 
 
-def _masked_collection(trees: Sequence[WTITree], joined_order: int) -> MaskedPool:
-    out: MaskedPool = []
+def _sliced_pool(trees: Sequence[WTITree], joined_order: int) -> SlicedPool:
+    """Keep the trees with an offset mask and transpose their masks."""
+    kept: list[WTITree] = []
+    offsets: list[list[int]] = []
+    columns = [0] * (joined_order * joined_order)
     for tree in trees:
         mask = _offset_mask(tree, joined_order)
-        if mask is not None:
-            out.append((mask, tree))
-    return out
+        if mask is None:
+            continue
+        index_bit = 1 << len(kept)
+        bits = []
+        while mask:
+            low = mask & -mask
+            b = low.bit_length() - 1
+            bits.append(b)
+            columns[b] |= index_bit
+            mask ^= low
+        kept.append(tree)
+        offsets.append(bits)
+    return SlicedPool(kept, offsets, columns, (1 << len(kept)) - 1)
 
 
-def _scan_products(
+def _set_bits(x: int) -> Iterator[int]:
+    """Indices of the set bits of ``x``, in increasing order."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _scan_sequences(
     k: int,
     sequences: Sequence[IncreasingSequence],
-    masked: dict[int, MaskedPool],
+    sliced: dict[int, SlicedPool],
     func: TreeCallback | None,
 ) -> int:
     """Count (and optionally emit) the TI joins of order k.
 
     Candidates are scanned in sequence order, then in mixed-radix tuple
-    order with the last coordinate varying fastest, skipping every branch
-    whose partial union of masks already collides.
+    order with the last coordinate varying fastest.  The walk carries one
+    forbidden bitset per coordinate not yet chosen: choosing tree j ORs
+    ``columns[b]`` of each later pool into that pool's forbidden set, for
+    every offset b of tree j, so a tree is reachable exactly when its
+    mask is disjoint from the masks chosen before it.  The last
+    coordinate of a counting run costs one ``bit_count()``; emission
+    walks the allowed indices in increasing order, so trees arrive in
+    pool order.
     """
     count = 0
     for seq in sequences:
-        pools = [masked[s] for s in seq]
-        if not all(pools):
+        pools = [sliced[s] for s in seq]
+        if not all(pool.full for pool in pools):
             continue
         last = len(pools) - 1
-        chosen = [None] * len(pools)
+        chosen: list[WTITree | None] = [None] * len(pools)
 
-        def walk(i: int, used: int) -> None:
+        def walk(i: int, forbidden: list[int]) -> None:
             nonlocal count
+            pool = pools[i]
+            allowed = pool.full & ~forbidden[0]
             if i == last:
-                for mask, tree in pools[i]:
-                    if used & mask:
-                        continue
+                for j in _set_bits(allowed):
                     count += 1
-                    if func is not None:
-                        chosen[i] = tree
-                        joined = join_wti_trees(chosen)
-                        assert joined is not None and is_ti_tree(joined)
-                        func(joined)
+                    chosen[i] = pool.trees[j]
+                    joined = join_wti_trees(chosen)
+                    if joined is None or not is_ti_tree(joined):
+                        raise RuntimeError(f"offset masks admitted a non-TI join of order {k}")
+                    func(joined)
+            elif i == last - 1 and func is None:
+                # A count needs only a popcount of the last coordinate, so
+                # it ends the walk here (sequences have at least 3 parts).
+                tail = pools[last]
+                column = tail.columns.__getitem__
+                for j in _set_bits(allowed):
+                    hit = reduce(or_, map(column, pool.offsets[j]), forbidden[1])
+                    count += (tail.full & ~hit).bit_count()
             else:
-                for mask, tree in pools[i]:
-                    if used & mask:
-                        continue
-                    chosen[i] = tree
-                    walk(i + 1, used | mask)
+                later = list(zip(pools[i + 1 :], forbidden[1:]))
+                for j in _set_bits(allowed):
+                    bits = pool.offsets[j]
+                    chosen[i] = pool.trees[j]
+                    hits = [reduce(or_, map(p.columns.__getitem__, bits), f) for p, f in later]
+                    walk(i + 1, hits)
 
-        walk(0, 0)
+        walk(0, [0] * len(pools))
     return count
 
 
@@ -265,8 +323,8 @@ def generate_ti_trees(
     subtrees = _build_subtree_pools(n, m_eff, census, func)
     for k in range(max(1, n // 2) + 1, n + 1):
         sequences = _phase2_sequences(k, m_eff)
-        masked = {s: _masked_collection(subtrees[s], k) for s in {x for q in sequences for x in q}}
-        census.counts[k] += _scan_products(k, sequences, masked, func)
+        sliced = {s: _sliced_pool(subtrees[s], k) for s in {x for q in sequences for x in q}}
+        census.counts[k] += _scan_sequences(k, sequences, sliced, func)
     return census
 
 
@@ -282,7 +340,7 @@ def generate_ti_trees(
 
 _WORKER_POOLS: SubtreePool = []
 _WORKER_ENCODER: Callable[[WTITree], bytes] | None = None
-_WORKER_MASK_CACHE: dict[tuple[int, int], MaskedPool] = {}
+_WORKER_MASK_CACHE: dict[tuple[int, int], SlicedPool] = {}
 
 
 def _worker_init(subtrees: SubtreePool, encoder: Callable[[WTITree], bytes] | None) -> None:
@@ -294,19 +352,19 @@ def _worker_init(subtrees: SubtreePool, encoder: Callable[[WTITree], bytes] | No
 
 def _worker_task(task: tuple[int, IncreasingSequence]) -> tuple[int, int, list[bytes] | None]:
     k, seq = task
-    masked: dict[int, MaskedPool] = {}
+    sliced: dict[int, SlicedPool] = {}
     for s in set(seq):
         key = (k, s)
         if key not in _WORKER_MASK_CACHE:
-            _WORKER_MASK_CACHE[key] = _masked_collection(_WORKER_POOLS[s], k)
-        masked[s] = _WORKER_MASK_CACHE[key]
+            _WORKER_MASK_CACHE[key] = _sliced_pool(_WORKER_POOLS[s], k)
+        sliced[s] = _WORKER_MASK_CACHE[key]
     lines: list[bytes] | None = None
     if _WORKER_ENCODER is None:
-        count = _scan_products(k, [seq], masked, None)
+        count = _scan_sequences(k, [seq], sliced, None)
     else:
         encoder = _WORKER_ENCODER
         lines = []
-        count = _scan_products(k, [seq], masked, lambda t: lines.append(encoder(t)))
+        count = _scan_sequences(k, [seq], sliced, lambda t: lines.append(encoder(t)))
     return k, count, lines
 
 
@@ -349,6 +407,11 @@ def generate_ti_trees_parallel(
     ]
     if not tasks:
         return census
+
+    # Imported here: the process pool adds about 20 ms to the start-up
+    # of every run, and serial runs never use it.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     try:
         ctx = multiprocessing.get_context("fork")

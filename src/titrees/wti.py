@@ -93,14 +93,14 @@ def lift_level(
 def join_wti_trees(children: Sequence[WTITree]) -> WTITree | None:
     """Join WTI trees under a new root; None if the result is not WTI.
 
-    Children must have strictly increasing orders.  The result's root is
-    labeled 0 and the vertices of child i keep their relative order,
-    offset by 1 plus the orders of the earlier children.  Returns None
-    exactly when some level of the combined tree would contain a
-    duplicated transmission value.
+    Children must have strictly increasing orders; ValueError otherwise.
+    The result's root is labeled 0 and the vertices of child i keep their
+    relative order, offset by 1 plus the orders of the earlier children.
+    Returns None exactly when some level of the combined tree would
+    contain a duplicated transmission value.
     """
-    assert all(a.order < b.order for a, b in zip(children, children[1:])), \
-        "children must have strictly increasing orders"
+    if any(a.order >= b.order for a, b in zip(children, children[1:])):
+        raise ValueError("children must have strictly increasing orders")
     order = 1 + sum(c.order for c in children)
     depth = 1 + max(c.depth for c in children)
     root_value = root_transmission_of_join([c.root_transmission for c in children], order)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import adjacency_of
+from reference_scan import _masked_collection, _scan_products
 from titrees import (
     SINGLE_VERTEX,
     canonical_form,
@@ -19,7 +20,13 @@ from titrees import (
     validate_wti_tree,
 )
 from titrees.formats import parent_list_line
-from titrees.generation import _phase2_sequences
+from titrees.generation import (
+    TICensus,
+    _build_subtree_pools,
+    _phase2_sequences,
+    _scan_sequences,
+    _sliced_pool,
+)
 
 KNOWN_TI_COUNTS_15 = {
     1: 1, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 1, 8: 0, 9: 1, 10: 0,
@@ -137,6 +144,59 @@ class TestAgainstReferencePath:
         assert emitted == emitted_ref  # same trees in the same order
 
 
+def scan_per_sequence(n: int, m: int | None, emit: bool):
+    """Run both phase-2 kernels on every (k, sequence) with k <= n.
+
+    Yields ``((k, seq), new, ref)`` where ``new`` comes from the
+    bit-sliced kernel and ``ref`` from the seed kernel in
+    ``reference_scan.py``: counts, or the emitted parent tuples in order.
+    """
+    m_eff = n - 1 if m is None else m
+    subtrees = _build_subtree_pools(n, m_eff, TICensus.zeros(n), None)
+    for k in range(1, n + 1):
+        sequences = _phase2_sequences(k, m_eff)
+        parts = {s for seq in sequences for s in seq}
+        sliced = {s: _sliced_pool(subtrees[s], k) for s in parts}
+        masked = {s: _masked_collection(subtrees[s], k) for s in parts}
+        for seq in sequences:
+            if emit:
+                new: list = []
+                ref: list = []
+                _scan_sequences(k, [seq], sliced, lambda t: new.append(t.parents))
+                _scan_products(k, [seq], masked, lambda t: ref.append(t.parents))
+                yield (k, seq), new, ref
+            else:
+                yield (
+                    (k, seq),
+                    _scan_sequences(k, [seq], sliced, None),
+                    _scan_products(k, [seq], masked, None),
+                )
+
+
+class TestBitSlicedScanAgainstReference:
+    @pytest.mark.parametrize("m", [None, 2, 3, 4])
+    def test_counts_per_sequence_through_26(self, m):
+        results = list(scan_per_sequence(26, m, emit=False))
+        assert {key: new for key, new, _ in results} == {key: ref for key, _, ref in results}
+        if m != 2:
+            assert sum(new for _, new, _ in results) > 0
+
+    @pytest.mark.parametrize("m", [None, 3])
+    def test_emission_order_per_sequence_through_20(self, m):
+        results = list(scan_per_sequence(20, m, emit=True))
+        assert {key: new for key, new, _ in results} == {key: ref for key, _, ref in results}
+        assert any(new for _, new, _ in results)
+
+
+class TestRegressionPins:
+    def test_orders_31_and_32(self):
+        # Regression pins, not published values: the bit-sliced kernel,
+        # the seed reference kernel and a two-worker run all gave them.
+        census = generate_ti_trees(32)
+        assert census[31] == 16_926_170
+        assert census[32] == 1_368_434
+
+
 class TestEmission:
     def test_trees_are_canonical_ti_forms(self):
         seen = []
@@ -163,6 +223,11 @@ class TestEmission:
         second = []
         generate_ti_trees(13, None, lambda t: second.append(t))
         assert first == second
+
+    def test_non_ti_join_is_an_error_not_an_assert(self, monkeypatch):
+        monkeypatch.setattr("titrees.generation.is_ti_tree", lambda tree: False)
+        with pytest.raises(RuntimeError):
+            generate_ti_trees(9, None, lambda t: None)
 
     def test_respects_degree_bound(self):
         for m in (3, 4):

@@ -6,10 +6,16 @@ oracle (plain breadth-first distance sums) and frozen here.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import titrees
 from conftest import adjacency_of, levels_from_parents, subtree_sizes_from_parents
 from titrees import (
     SINGLE_VERTEX,
@@ -103,10 +109,24 @@ class TestJoinWtiTrees:
         assert join_wti_trees([chains[3], t4]) is None  # None, not a partial record
 
     def test_rejects_nonincreasing_orders(self, chains):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             join_wti_trees([chains[3], chains[2]])
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             join_wti_trees([chains[2], chains[2]])
+
+    def test_order_check_survives_optimize_flag(self):
+        # python -O strips asserts; the precondition must still raise.
+        code = (
+            "from titrees import SINGLE_VERTEX, join_wti_trees\n"
+            "try:\n"
+            "    join_wti_trees([SINGLE_VERTEX, SINGLE_VERTEX])\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        src = str(Path(titrees.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60).returncode == 0
 
     def test_depth_and_order_formulas(self, pool12):
         for k in (5, 8, 11):
