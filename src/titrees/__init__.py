@@ -9,12 +9,10 @@ plain breadth-first searches provides independent verification.
 from .enumeration import (
     IncreasingSequence,
     WTIPool,
-    cartesian_product,
     generate_increasing,
     generate_wti_trees,
 )
 from .formats import (
-    EncodedGraph,
     decode_graph6,
     decode_sparse6,
     encode_graph6,
@@ -26,7 +24,6 @@ from .generation import (
     SubtreePool,
     TICensus,
     generate_ti_trees,
-    generate_ti_trees_parallel,
     get_max_degree,
     is_ti_tree,
 )
@@ -53,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjacencyTree",
-    "EncodedGraph",
     "IncreasingSequence",
     "SINGLE_VERTEX",
     "SubtreePool",
@@ -61,7 +57,6 @@ __all__ = [
     "WTIPool",
     "WTITree",
     "canonical_form",
-    "cartesian_product",
     "child_transmission_step",
     "decode_graph6",
     "decode_sparse6",
@@ -72,7 +67,6 @@ __all__ = [
     "enumerate_rooted_trees",
     "generate_increasing",
     "generate_ti_trees",
-    "generate_ti_trees_parallel",
     "generate_wti_trees",
     "get_max_degree",
     "is_ti_graph",

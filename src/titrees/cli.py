@@ -10,7 +10,8 @@ generator output against the brute-force oracle).  n_max bounds the tree
 order and the optional m bounds the maximum vertex degree.
 
 Exit status: 0 success, 1 usage error, 2 verification mismatch, 3 I/O
-failure.
+failure.  A reader that closes the output pipe early (``titrees -p 22 |
+head -1``) ends the run quietly with status 0.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from collections import Counter
 from typing import BinaryIO, Sequence
 
 from .formats import graph6_line, parent_list_line, sparse6_line, to_edge_list
-from .generation import generate_ti_trees, generate_ti_trees_parallel
+from .generation import generate_ti_trees
 from .oracle import (
     MAX_ENUMERATION_ORDER,
     AdjacencyTree,
@@ -92,7 +93,7 @@ def _build_parser() -> _Parser:
     parser.add_argument(
         "--deterministic",
         action="store_true",
-        help="single-threaded run with canonical output ordering",
+        help="single-process run, the same as --threads 1",
     )
     parser.add_argument(
         "--verify-against-oracle",
@@ -142,31 +143,24 @@ def _run_verify(n_max: int, m: int | None, out: BinaryIO) -> int:
 
 def _run(args: argparse.Namespace, out: BinaryIO) -> int:
     mode = "verify" if args.verify_against_oracle else args.mode
-    parallel = not args.deterministic and args.threads > 1
+    workers = 1 if args.deterministic else args.threads
 
     if mode == "verify":
         return _run_verify(args.n_max, args.m, out)
 
     if mode == "count":
-        if parallel:
-            census = generate_ti_trees_parallel(args.n_max, args.m, workers=args.threads)
-        else:
-            census = generate_ti_trees(args.n_max, args.m)
+        census = generate_ti_trees(args.n_max, args.m, workers=workers)
         for order, count in census.items():
             out.write(f"{order} {count}\n".encode())
         return EXIT_OK
 
-    encoder = _ENCODERS[mode]
-    if parallel:
-        generate_ti_trees_parallel(
-            args.n_max,
-            args.m,
-            workers=args.threads,
-            encoder=encoder,
-            write=lambda line: out.write(line + b"\n"),
-        )
-    else:
-        generate_ti_trees(args.n_max, args.m, lambda tree: out.write(encoder(tree) + b"\n"))
+    generate_ti_trees(
+        args.n_max,
+        args.m,
+        lambda line: out.write(line + b"\n"),
+        workers=workers,
+        encoder=_ENCODERS[mode],
+    )
     return EXIT_OK
 
 
@@ -194,6 +188,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         status = _run(args, sys.stdout.buffer)
         sys.stdout.buffer.flush()
         return status
+    except BrokenPipeError:
+        # The reader has gone; send the rest of the buffered output to
+        # the null device so the interpreter's final flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except OSError as exc:
         print(f"titrees: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

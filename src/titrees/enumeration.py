@@ -10,7 +10,7 @@ cartesian product over the already-built collections.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from .wti import SINGLE_VERTEX, WTITree, join_wti_trees
 
@@ -18,7 +18,6 @@ __all__ = [
     "IncreasingSequence",
     "WTIPool",
     "generate_increasing",
-    "cartesian_product",
     "generate_wti_trees",
 ]
 
@@ -59,19 +58,6 @@ def generate_increasing(
     extend(alpha, 1, gamma)
 
 
-def cartesian_product(
-    collections: Sequence[Iterable],
-    emit: Callable[[tuple], None],
-) -> None:
-    """Emit each tuple taking one element per collection.
-
-    Tuples appear in mixed-radix order with the last coordinate varying
-    fastest; an empty factor yields no tuples at all.
-    """
-    for combo in itertools.product(*collections):
-        emit(combo)
-
-
 def generate_wti_trees(n: int, h: int, stats: dict | None = None) -> WTIPool:
     """Build all WTI trees of order <= n with at most h children per vertex.
 
@@ -90,16 +76,14 @@ def generate_wti_trees(n: int, h: int, stats: dict | None = None) -> WTIPool:
     for k in range(2, n + 1):
         bucket = pool[k]
 
-        def join_tuple(children: tuple[WTITree, ...]) -> None:
-            nonlocal failed
-            tree = join_wti_trees(children)
-            if tree is not None:
-                bucket.append(tree)
-            else:
-                failed += 1
-
         def expand_sequence(seq: IncreasingSequence) -> None:
-            cartesian_product([pool[s] for s in seq], join_tuple)
+            nonlocal failed
+            for children in itertools.product(*(pool[s] for s in seq)):
+                tree = join_wti_trees(children)
+                if tree is not None:
+                    bucket.append(tree)
+                else:
+                    failed += 1
 
         generate_increasing(k - 1, k - 1, h, expand_sequence)
 

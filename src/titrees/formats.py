@@ -8,13 +8,11 @@ exist for round-trip testing and are not wired to the command line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .wti import WTITree
 
 __all__ = [
-    "EncodedGraph",
     "GRAPH6_MAX_ORDER",
     "to_edge_list",
     "encode_graph6",
@@ -31,14 +29,6 @@ Edge = tuple[int, int]
 
 # The three-byte order escape tops out at 2^18 - 1 vertices.
 GRAPH6_MAX_ORDER = 258047
-
-
-@dataclass(frozen=True)
-class EncodedGraph:
-    """One encoded tree: payload bytes plus the format that produced them."""
-
-    data: bytes
-    fmt: str
 
 
 def to_edge_list(tree: WTITree) -> list[Edge]:
@@ -68,7 +58,7 @@ def _decode_order(data: bytes) -> tuple[int, int]:
     raise ValueError("orders above the three-byte escape are not supported")
 
 
-def encode_graph6(edges: Sequence[Edge], order: int) -> EncodedGraph:
+def encode_graph6(edges: Sequence[Edge], order: int) -> bytes:
     """graph6 encoding of a graph given by its edge list.
 
     The upper-triangle adjacency bits are streamed column by column,
@@ -83,7 +73,7 @@ def encode_graph6(edges: Sequence[Edge], order: int) -> EncodedGraph:
             u, v = v, u
         pos = v * (v - 1) // 2 + u
         groups[pos // 6] |= 1 << (5 - pos % 6)
-    return EncodedGraph(_encode_order(order) + bytes(g + 63 for g in groups), "graph6")
+    return _encode_order(order) + bytes(g + 63 for g in groups)
 
 
 def decode_graph6(data: bytes) -> tuple[int, list[Edge]]:
@@ -100,7 +90,7 @@ def decode_graph6(data: bytes) -> tuple[int, list[Edge]]:
     return order, sorted(edges)
 
 
-def encode_sparse6(edges: Sequence[Edge], order: int) -> EncodedGraph:
+def encode_sparse6(edges: Sequence[Edge], order: int) -> bytes:
     """sparse6 encoding of a graph given by its edge list.
 
     Edges are streamed sorted by larger endpoint as (b, x) pairs, where b
@@ -138,7 +128,7 @@ def encode_sparse6(edges: Sequence[Edge], order: int) -> EncodedGraph:
     packed = bytes(
         63 + sum(bits[i + j] << (5 - j) for j in range(6)) for i in range(0, len(bits), 6)
     )
-    return EncodedGraph(b":" + _encode_order(order) + packed, "sparse6")
+    return b":" + _encode_order(order) + packed
 
 
 def decode_sparse6(data: bytes) -> tuple[int, list[Edge]]:
@@ -172,22 +162,21 @@ def decode_sparse6(data: bytes) -> tuple[int, list[Edge]]:
     return order, sorted(edges)
 
 
-def encode_parent_list(tree: WTITree) -> EncodedGraph:
+def encode_parent_list(tree: WTITree) -> bytes:
     """One text line with the parents of vertices 1..n-1; empty for K1."""
-    payload = " ".join(str(tree.parents[x]) for x in range(1, tree.order))
-    return EncodedGraph(payload.encode("ascii"), "parent-list")
+    return " ".join(str(tree.parents[x]) for x in range(1, tree.order)).encode("ascii")
 
 
 # One-call adapters used by the CLI and the parallel workers.
 
 
 def graph6_line(tree: WTITree) -> bytes:
-    return encode_graph6(to_edge_list(tree), tree.order).data
+    return encode_graph6(to_edge_list(tree), tree.order)
 
 
 def sparse6_line(tree: WTITree) -> bytes:
-    return encode_sparse6(to_edge_list(tree), tree.order).data
+    return encode_sparse6(to_edge_list(tree), tree.order)
 
 
 def parent_list_line(tree: WTITree) -> bytes:
-    return encode_parent_list(tree).data
+    return encode_parent_list(tree)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .enumeration import IncreasingSequence, generate_increasing, generate_wti_trees
 from .wti import WTITree, join_wti_trees
@@ -43,13 +43,15 @@ __all__ = [
     "get_max_degree",
     "is_ti_tree",
     "generate_ti_trees",
-    "generate_ti_trees_parallel",
 ]
 
 # Pool of degree-admissible join components, indexed by order like WTIPool.
 SubtreePool = list[list[WTITree]]
 
 TreeCallback = Callable[[WTITree], None]
+
+# One phase-2 task: a joined order and its root-subtree order sequence.
+Task = tuple[int, IncreasingSequence]
 
 
 @dataclass
@@ -267,14 +269,6 @@ def _phase2_sequences(k: int, max_children: int) -> list[IncreasingSequence]:
 # ----------------------------------------------------------------------
 
 
-def _check_arguments(n: int, m: int | None) -> int:
-    if n < 1:
-        raise ValueError(f"order bound must be >= 1, got {n}")
-    if m is not None and m < 2:
-        raise ValueError(f"degree bound must be >= 2, got {m}")
-    return n - 1 if m is None else m
-
-
 def _build_subtree_pools(
     n: int,
     m_eff: int,
@@ -305,107 +299,74 @@ def _build_subtree_pools(
     return subtrees
 
 
+def _task_runner(subtrees: SubtreePool, func: TreeCallback | None) -> Callable[[Task], int]:
+    """A function that scans one phase-2 (k, sequence) task and counts it.
+
+    The sliced pools of the current order are cached by part size and
+    dropped when a task of another order arrives; tasks come in
+    increasing k, so each pool is sliced once per order.
+    """
+    sliced: dict[int, SlicedPool] = {}
+    order = 0
+
+    def run(task: Task) -> int:
+        nonlocal order
+        k, seq = task
+        if k != order:
+            sliced.clear()
+            order = k
+        for s in seq:
+            if s not in sliced:
+                sliced[s] = _sliced_pool(subtrees[s], k)
+        return _scan_sequences(k, [seq], sliced, func)
+
+    return run
+
+
 def generate_ti_trees(
     n: int,
     m: int | None = None,
-    func: TreeCallback | None = None,
+    func: Callable[[Any], None] | None = None,
+    *,
+    workers: int = 1,
+    encoder: Callable[[WTITree], bytes] | None = None,
 ) -> TICensus:
     """Generate every TI tree of order <= n and maximum degree <= m.
 
     Each tree is produced exactly once, in canonical representation, and
-    passed to ``func`` when given; the returned census counts emitted
-    trees per order.  ``m=None`` means unbounded degree.  Trees arrive in
-    increasing phase-1 order first, then by order, sequence and tuple for
-    phase 2; the whole run is single-threaded and deterministic.
+    passed to ``func`` when given, or ``encoder(tree)`` is passed when an
+    encoder is given; the returned census counts emitted trees per order.
+    ``m=None`` means unbounded degree.  Trees arrive in increasing
+    phase-1 order first, then by order, sequence and tuple for phase 2.
+
+    Phase 2 is a list of independent (order, sequence) tasks.  With
+    ``workers == 1`` they run in this process; otherwise they run on a
+    pool of worker processes (CPython threads would serialize on the
+    interpreter lock), which encode their trees and send the lines back.
+    The lines are passed on in task order, so the output is the same for
+    any worker count; emitting from workers therefore needs an encoder.
     """
-    m_eff = _check_arguments(n, m)
-    census = TICensus.zeros(n)
-    subtrees = _build_subtree_pools(n, m_eff, census, func)
-    for k in range(max(1, n // 2) + 1, n + 1):
-        sequences = _phase2_sequences(k, m_eff)
-        sliced = {s: _sliced_pool(subtrees[s], k) for s in {x for q in sequences for x in q}}
-        census.counts[k] += _scan_sequences(k, sequences, sliced, func)
-    return census
-
-
-# ----------------------------------------------------------------------
-# Parallel execution
-# ----------------------------------------------------------------------
-#
-# Phase 2 splits into independent (k, sequence) tasks that only read the
-# subtree pools, so they fan out to worker processes (CPython threads
-# would serialize on the interpreter lock).  Results are consumed in
-# submission order, which makes a parallel run's output byte-identical
-# to the deterministic one.
-
-_WORKER_POOLS: SubtreePool = []
-_WORKER_ENCODER: Callable[[WTITree], bytes] | None = None
-_WORKER_MASK_CACHE: dict[tuple[int, int], SlicedPool] = {}
-
-
-def _worker_init(subtrees: SubtreePool, encoder: Callable[[WTITree], bytes] | None) -> None:
-    global _WORKER_POOLS, _WORKER_ENCODER
-    _WORKER_POOLS = subtrees
-    _WORKER_ENCODER = encoder
-    _WORKER_MASK_CACHE.clear()
-
-
-def _worker_task(task: tuple[int, IncreasingSequence]) -> tuple[int, int, list[bytes] | None]:
-    k, seq = task
-    sliced: dict[int, SlicedPool] = {}
-    for s in set(seq):
-        key = (k, s)
-        if key not in _WORKER_MASK_CACHE:
-            _WORKER_MASK_CACHE[key] = _sliced_pool(_WORKER_POOLS[s], k)
-        sliced[s] = _WORKER_MASK_CACHE[key]
-    lines: list[bytes] | None = None
-    if _WORKER_ENCODER is None:
-        count = _scan_sequences(k, [seq], sliced, None)
-    else:
-        encoder = _WORKER_ENCODER
-        lines = []
-        count = _scan_sequences(k, [seq], sliced, lambda t: lines.append(encoder(t)))
-    return k, count, lines
-
-
-def generate_ti_trees_parallel(
-    n: int,
-    m: int | None = None,
-    *,
-    workers: int,
-    encoder: Callable[[WTITree], bytes] | None = None,
-    write: Callable[[bytes], None] | None = None,
-) -> TICensus:
-    """Parallel variant of :func:`generate_ti_trees` over worker processes.
-
-    Phase 1 runs in the calling process; each phase-2 (order, sequence)
-    pair becomes one task.  When ``encoder`` is given, every emitted tree
-    is encoded in the worker and the resulting lines are handed to
-    ``write`` in deterministic task order, so the output matches a
-    single-threaded run byte for byte.  Counting runs carry no per-tree
-    payload at all.
-    """
+    if n < 1:
+        raise ValueError(f"order bound must be >= 1, got {n}")
+    if m is not None and m < 2:
+        raise ValueError(f"degree bound must be >= 2, got {m}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    m_eff = _check_arguments(n, m)
+    if workers > 1 and func is not None and encoder is None:
+        raise ValueError("emitting from more than one worker needs an encoder")
+    m_eff = n - 1 if m is None else m
     census = TICensus.zeros(n)
-
-    if encoder is not None and write is not None:
-
-        def phase1_func(tree: WTITree) -> None:
-            write(encoder(tree))
-
-    else:
-        phase1_func = None
-
-    subtrees = _build_subtree_pools(n, m_eff, census, phase1_func)
-
+    emit = func if func is None or encoder is None else lambda tree: func(encoder(tree))
+    subtrees = _build_subtree_pools(n, m_eff, census, emit)
     tasks = [
         (k, seq)
         for k in range(max(1, n // 2) + 1, n + 1)
         for seq in _phase2_sequences(k, m_eff)
     ]
-    if not tasks:
+    if workers == 1 or not tasks:
+        run = _task_runner(subtrees, emit)
+        for task in tasks:
+            census.counts[task[0]] += run(task)
         return census
 
     # Imported here: the process pool adds about 20 ms to the start-up
@@ -421,11 +382,28 @@ def generate_ti_trees_parallel(
         max_workers=workers,
         mp_context=ctx,
         initializer=_worker_init,
-        initargs=(subtrees, encoder),
+        initargs=(subtrees, encoder if func is not None else None),
     ) as executor:
-        for k, count, lines in executor.map(_worker_task, tasks):
+        for (k, _), (count, lines) in zip(tasks, executor.map(_worker_task, tasks)):
             census.counts[k] += count
-            if lines is not None and write is not None:
-                for line in lines:
-                    write(line)
+            for line in lines:
+                func(line)
     return census
+
+
+# Set in each worker process: the task runner, by the initializer, and the
+# lines that the task at hand has emitted, by the task.
+_worker_run: Callable[[Task], int]
+_worker_lines: list[bytes] = []
+
+
+def _worker_init(subtrees: SubtreePool, encoder: Callable[[WTITree], bytes] | None) -> None:
+    global _worker_run
+    emit = None if encoder is None else lambda tree: _worker_lines.append(encoder(tree))
+    _worker_run = _task_runner(subtrees, emit)
+
+
+def _worker_task(task: Task) -> tuple[int, list[bytes]]:
+    global _worker_lines
+    _worker_lines = []
+    return _worker_run(task), _worker_lines

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import titrees
 from titrees import cli, generate_ti_trees
 
 
@@ -74,7 +80,8 @@ class TestDeterminismAndParallel:
     def test_parallel_output_matches_deterministic(self, capsysbinary):
         _, parallel = run_cli(capsysbinary, "-p", "14", "--threads", "2")
         _, serial = run_cli(capsysbinary, "-p", "14", "--deterministic")
-        assert parallel == serial
+        _, one_thread = run_cli(capsysbinary, "-p", "14", "--threads", "1")
+        assert parallel == serial == one_thread
 
     def test_parallel_census_matches(self, capsysbinary):
         _, parallel = run_cli(capsysbinary, "-c", "16", "--threads", "2")
@@ -160,3 +167,21 @@ class TestOutputFile:
         )
         assert status == 3
         assert "I/O error" in capsys.readouterr().err
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_reader_closing_early_is_a_quiet_success(self, threads):
+        # -p 22 writes far more than a 64 KiB pipe buffer holds.
+        env = dict(os.environ, PYTHONPATH=str(Path(titrees.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "titrees.cli", "-p", "22", "--threads", threads],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import ordered_encoding
 from titrees import (
     AdjacencyTree,
-    cartesian_product,
     enumerate_rooted_trees,
     generate_increasing,
     generate_wti_trees,
@@ -73,26 +72,6 @@ class TestGenerateIncreasing:
         assert increasing_sequences(alpha, beta, gamma) == brute_force_sequences(
             alpha, beta, gamma
         )
-
-
-class TestCartesianProduct:
-    def collect(self, collections):
-        out = []
-        cartesian_product(collections, out.append)
-        return out
-
-    def test_two_by_one(self):
-        assert self.collect([["a", "b"], ["c"]]) == [("a", "c"), ("b", "c")]
-
-    def test_empty_factor(self):
-        assert self.collect([[], ["c"]]) == []
-
-    def test_singletons(self):
-        assert self.collect([["x"], ["y"], ["z"]]) == [("x", "y", "z")]
-
-    def test_last_coordinate_varies_fastest(self):
-        got = self.collect([[0, 1], [0, 1, 2]])
-        assert got == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
 
 class TestGenerateWtiTrees:

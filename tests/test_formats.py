@@ -55,31 +55,34 @@ class TestToEdgeList:
 
 class TestGraph6:
     def test_single_vertex_literal(self):
-        assert encode_graph6([], 1).data == b"@"
+        assert encode_graph6([], 1) == b"@"
 
     def test_single_edge_literal(self):
-        assert encode_graph6([(0, 1)], 2).data == b"A_"
+        assert encode_graph6([(0, 1)], 2) == b"A_"
 
     def test_format_tag(self):
-        assert encode_graph6([], 1).fmt == "graph6"
+        # The format travels in the bytes: only sparse6 starts with ':'.
+        for edges, k in (([], 1), ([(0, 1)], 2), ([(0, 1), (1, 2)], 3)):
+            assert not encode_graph6(edges, k).startswith(b":")
+            assert encode_sparse6(edges, k).startswith(b":")
 
     def test_round_trip_pool_trees(self, pool12):
         for k in range(1, 11):
             for tree in pool12[k]:
                 edges = to_edge_list(tree)
-                assert decode_graph6(encode_graph6(edges, k).data) == (k, edges)
+                assert decode_graph6(encode_graph6(edges, k)) == (k, edges)
 
     def test_against_reference_codec(self, pool12):
         for k in range(1, 11):
             for tree in pool12[k]:
                 edges = to_edge_list(tree)
                 expected = nx.to_graph6_bytes(nx_graph(k, edges), header=False).strip()
-                assert encode_graph6(edges, k).data == expected
+                assert encode_graph6(edges, k) == expected
 
     def test_multibyte_order_field(self):
         # A star on 63 vertices forces the three-byte order escape.
         edges = [(0, v) for v in range(1, 63)]
-        mine = encode_graph6(edges, 63).data
+        mine = encode_graph6(edges, 63)
         assert mine[:1] == bytes([126])
         assert mine == nx.to_graph6_bytes(nx_graph(63, edges), header=False).strip()
         assert decode_graph6(mine) == (63, edges)
@@ -94,22 +97,21 @@ class TestGraph6:
 class TestSparse6:
     def test_single_vertex(self):
         enc = encode_sparse6([], 1)
-        assert enc.data == b":@"
-        assert enc.fmt == "sparse6"
-        assert decode_sparse6(enc.data) == (1, [])
+        assert enc == b":@"
+        assert decode_sparse6(enc) == (1, [])
 
     def test_round_trip_pool_trees(self, pool12):
         for k in range(1, 11):
             for tree in pool12[k]:
                 edges = to_edge_list(tree)
-                assert decode_sparse6(encode_sparse6(edges, k).data) == (k, edges)
+                assert decode_sparse6(encode_sparse6(edges, k)) == (k, edges)
 
     def test_against_reference_codec(self, pool12):
         for k in range(1, 11):
             for tree in pool12[k]:
                 edges = to_edge_list(tree)
                 expected = nx.to_sparse6_bytes(nx_graph(k, edges), header=False).strip()
-                assert encode_sparse6(edges, k).data == expected
+                assert encode_sparse6(edges, k) == expected
 
     @pytest.mark.parametrize(
         "order,edges",
@@ -127,15 +129,15 @@ class TestSparse6:
         # Orders 2, 4, 8, 16 hit the special padding rule; the reference
         # codec is authoritative for these.
         expected = nx.to_sparse6_bytes(nx_graph(order, edges), header=False).strip()
-        mine = encode_sparse6(edges, order).data
+        mine = encode_sparse6(edges, order)
         assert mine == expected
         assert decode_sparse6(mine) == (order, sorted(edges))
 
     def test_cross_format_agreement_on_ti_trees(self):
         for tree in ti_trees_up_to(14):
             edges = to_edge_list(tree)
-            via_g6 = decode_graph6(encode_graph6(edges, tree.order).data)
-            via_s6 = decode_sparse6(encode_sparse6(edges, tree.order).data)
+            via_g6 = decode_graph6(encode_graph6(edges, tree.order))
+            via_s6 = decode_sparse6(encode_sparse6(edges, tree.order))
             assert via_g6 == via_s6 == (tree.order, edges)
 
     def test_rejects_missing_prefix(self):
@@ -149,26 +151,26 @@ class TestPrintableRange:
             for tree in pool12[k]:
                 edges = to_edge_list(tree)
                 for enc in (encode_graph6(edges, k), encode_sparse6(edges, k)):
-                    payload = enc.data[1:] if enc.data.startswith(b":") else enc.data
+                    payload = enc[1:] if enc.startswith(b":") else enc
                     assert all(63 <= byte <= 126 for byte in payload)
 
 
 class TestParentList:
     def test_single_vertex_empty_line(self):
-        assert encode_parent_list(SINGLE_VERTEX).data == b""
+        assert encode_parent_list(SINGLE_VERTEX) == b""
 
     def test_two_vertex_tree(self, chains):
-        assert encode_parent_list(chains[2]).data == b"0"
+        assert encode_parent_list(chains[2]) == b"0"
 
     def test_spider_labels(self, spider7):
-        assert encode_parent_list(spider7).data == b"0 0 2 0 4 5"
+        assert encode_parent_list(spider7) == b"0 0 2 0 4 5"
 
     def test_reparses_to_matching_transmissions(self, pool12):
         # Parse the line back into a parent array, rebuild the tree, and
         # compare BFS transmissions with the stored level lists.
         for k in range(1, 13):
             for tree in pool12[k]:
-                text = encode_parent_list(tree).data.decode("ascii")
+                text = encode_parent_list(tree).decode("ascii")
                 parents = [int(token) for token in text.split()]
                 assert len(parents) == k - 1
                 rebuilt = adjacency_of(tree)

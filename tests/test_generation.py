@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from conftest import adjacency_of
@@ -9,10 +11,8 @@ from reference_scan import _masked_collection, _scan_products
 from titrees import (
     SINGLE_VERTEX,
     canonical_form,
-    cartesian_product,
     generate_increasing,
     generate_ti_trees,
-    generate_ti_trees_parallel,
     generate_wti_trees,
     get_max_degree,
     is_ti_tree,
@@ -64,12 +64,11 @@ def reference_generate(n: int, m: int | None):
         sequences: list[tuple[int, ...]] = []
         generate_increasing(k - 1, beta, m_eff, sequences.append)
         for seq in sequences:
-            def attempt(combo):
+            for combo in itertools.product(*(subtrees[s] for s in seq)):
                 tree = join_wti_trees(combo)
                 if tree is not None and is_ti_tree(tree):
                     census[k] += 1
                     emitted.append(tree.parents)
-            cartesian_product([subtrees[s] for s in seq], attempt)
     return census, emitted
 
 
@@ -131,7 +130,9 @@ class TestCensus:
         with pytest.raises(ValueError):
             generate_ti_trees(8, 1)
         with pytest.raises(ValueError):
-            generate_ti_trees_parallel(8, workers=0)
+            generate_ti_trees(8, workers=0)
+        with pytest.raises(ValueError):
+            generate_ti_trees(8, None, print, workers=2)
 
 
 class TestAgainstReferencePath:
@@ -267,7 +268,7 @@ class TestPhase2Sequences:
 class TestParallel:
     def test_census_matches_serial(self):
         assert (
-            generate_ti_trees_parallel(16, workers=2).to_dict()
+            generate_ti_trees(16, workers=2).to_dict()
             == generate_ti_trees(16).to_dict()
         )
 
@@ -275,13 +276,18 @@ class TestParallel:
         serial: list[bytes] = []
         generate_ti_trees(14, None, lambda t: serial.append(parent_list_line(t)))
         parallel: list[bytes] = []
-        generate_ti_trees_parallel(
-            14, None, workers=2, encoder=parent_list_line, write=parallel.append
-        )
+        generate_ti_trees(14, None, parallel.append, workers=2, encoder=parent_list_line)
         assert parallel == serial
+
+    def test_encoded_lines_with_one_worker_match_serial(self):
+        serial: list[bytes] = []
+        generate_ti_trees(14, None, lambda t: serial.append(parent_list_line(t)))
+        encoded: list[bytes] = []
+        generate_ti_trees(14, None, encoded.append, workers=1, encoder=parent_list_line)
+        assert encoded == serial
 
     def test_degree_bound_in_parallel(self):
         assert (
-            generate_ti_trees_parallel(15, 3, workers=2).to_dict()
+            generate_ti_trees(15, 3, workers=2).to_dict()
             == generate_ti_trees(15, 3).to_dict()
         )
