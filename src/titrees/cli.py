@@ -10,8 +10,10 @@ generator output against the brute-force oracle).  n_max bounds the tree
 order and the optional m bounds the maximum vertex degree.
 
 Exit status: 0 success, 1 usage error, 2 verification mismatch, 3 I/O
-failure.  A reader that closes the output pipe early (``titrees -p 22 |
-head -1``) ends the run quietly with status 0.
+failure, 130 interrupted.  A reader that closes the output pipe early
+(``titrees -p 22 | head -1``) ends the run quietly with status 0; an
+interrupt (Ctrl-C, SIGINT) ends it with status 130 and nothing on
+standard error.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import sys
 from collections import Counter
 from typing import BinaryIO, Sequence
 
-from .formats import graph6_line, parent_list_line, sparse6_line, to_edge_list
+from .formats import graph6_line, parent_list_line, sparse6_line
 from .generation import generate_ti_trees
 from .oracle import (
     MAX_ENUMERATION_ORDER,
@@ -38,6 +40,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY_MISMATCH = 2
 EXIT_IO = 3
+EXIT_INTERRUPTED = 130
 
 _MODE_ALIASES = {
     "-c": "count",
@@ -114,7 +117,8 @@ def _run_verify(n_max: int, m: int | None, out: BinaryIO) -> int:
     generated: dict[int, Counter] = {k: Counter() for k in range(1, n_max + 1)}
 
     def collect(tree) -> None:
-        adjacency = AdjacencyTree.from_edges(tree.order, to_edge_list(tree))
+        edges = [(tree.parents[x], x) for x in range(1, tree.order)]
+        adjacency = AdjacencyTree.from_edges(tree.order, edges)
         generated[tree.order][canonical_form(adjacency)] += 1
 
     generate_ti_trees(n_max, m, collect)
@@ -193,6 +197,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         # the null device so the interpreter's final flush cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
+    except KeyboardInterrupt:
+        return EXIT_INTERRUPTED
     except OSError as exc:
         print(f"titrees: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -10,7 +10,7 @@ cartesian product over the already-built collections.
 from __future__ import annotations
 
 import itertools
-from typing import Callable
+from typing import Iterator
 
 from .wti import SINGLE_VERTEX, WTITree, join_wti_trees
 
@@ -28,34 +28,29 @@ IncreasingSequence = tuple[int, ...]
 WTIPool = list[list[WTITree]]
 
 
-def generate_increasing(
-    alpha: int,
-    beta: int,
-    gamma: int,
-    emit: Callable[[IncreasingSequence], None],
-) -> None:
-    """Emit every strictly increasing positive sequence summing to alpha.
+def generate_increasing(alpha: int, beta: int, gamma: int) -> Iterator[IncreasingSequence]:
+    """Every strictly increasing positive sequence summing to alpha.
 
     Qualifying sequences (s_1 < s_2 < ... < s_q) satisfy sum(s) == alpha,
-    s_q <= beta and q <= gamma; they are produced in lexicographic order.
-    Emits nothing when no sequence qualifies.
+    s_q <= beta and q <= gamma; they are yielded in lexicographic order.
+    Yields nothing when no sequence qualifies.
     """
     if alpha < 1 or beta < 1 or gamma < 1:
         raise ValueError("alpha, beta and gamma must all be positive")
     parts: list[int] = []
 
-    def extend(remaining: int, minimum: int, slots: int) -> None:
+    def extend(remaining: int, minimum: int, slots: int) -> Iterator[IncreasingSequence]:
         if remaining == 0:
-            emit(tuple(parts))
+            yield tuple(parts)
             return
         if slots == 0:
             return
         for s in range(minimum, min(beta, remaining) + 1):
             parts.append(s)
-            extend(remaining - s, s + 1, slots - 1)
+            yield from extend(remaining - s, s + 1, slots - 1)
             parts.pop()
 
-    extend(alpha, 1, gamma)
+    yield from extend(alpha, 1, gamma)
 
 
 def generate_wti_trees(n: int, h: int, stats: dict | None = None) -> WTIPool:
@@ -74,18 +69,13 @@ def generate_wti_trees(n: int, h: int, stats: dict | None = None) -> WTIPool:
     failed = 0
 
     for k in range(2, n + 1):
-        bucket = pool[k]
-
-        def expand_sequence(seq: IncreasingSequence) -> None:
-            nonlocal failed
+        for seq in generate_increasing(k - 1, k - 1, h):
             for children in itertools.product(*(pool[s] for s in seq)):
                 tree = join_wti_trees(children)
                 if tree is not None:
-                    bucket.append(tree)
+                    pool[k].append(tree)
                 else:
                     failed += 1
-
-        generate_increasing(k - 1, k - 1, h, expand_sequence)
 
     if stats is not None:
         stats["failed_joins"] = stats.get("failed_joins", 0) + failed

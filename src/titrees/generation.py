@@ -29,6 +29,7 @@ are one big-int AND-NOT away, and the last coordinate is counted with
 
 from __future__ import annotations
 
+import signal
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
@@ -259,9 +260,7 @@ def _phase2_sequences(k: int, max_children: int) -> list[IncreasingSequence]:
     beta = (k - 1) // 2
     if beta < 1:
         return []
-    sequences: list[IncreasingSequence] = []
-    generate_increasing(k - 1, beta, max_children, sequences.append)
-    return sequences
+    return list(generate_increasing(k - 1, beta, max_children))
 
 
 # ----------------------------------------------------------------------
@@ -378,16 +377,21 @@ def generate_ti_trees(
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # platform without fork
         ctx = multiprocessing.get_context()
-    with ProcessPoolExecutor(
+    executor = ProcessPoolExecutor(
         max_workers=workers,
         mp_context=ctx,
         initializer=_worker_init,
         initargs=(subtrees, encoder if func is not None else None),
-    ) as executor:
+    )
+    try:
         for (k, _), (count, lines) in zip(tasks, executor.map(_worker_task, tasks)):
             census.counts[k] += count
             for line in lines:
                 func(line)
+    finally:
+        # On an interrupt or a closed pipe, drop the tasks not yet started
+        # instead of running the rest of the list.
+        executor.shutdown(cancel_futures=True)
     return census
 
 
@@ -399,6 +403,8 @@ _worker_lines: list[bytes] = []
 
 def _worker_init(subtrees: SubtreePool, encoder: Callable[[WTITree], bytes] | None) -> None:
     global _worker_run
+    # Ctrl-C is the parent's to handle; it stops the pool.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     emit = None if encoder is None else lambda tree: _worker_lines.append(encoder(tree))
     _worker_run = _task_runner(subtrees, emit)
 

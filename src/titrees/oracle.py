@@ -18,8 +18,6 @@ __all__ = [
     "AdjacencyTree",
     "MAX_ENUMERATION_ORDER",
     "enumerate_free_trees",
-    "enumerate_rooted_trees",
-    "prufer_to_edges",
     "transmissions_bfs",
     "is_ti_graph",
     "canonical_form",
@@ -168,45 +166,6 @@ def enumerate_free_trees(n: int, emit: Callable[[AdjacencyTree], None]) -> None:
         if layout is not None:
             emit(_tree_from_levels(layout))
             layout = _next_rooted_sequence(layout)
-
-
-def enumerate_rooted_trees(n: int, emit: Callable[[AdjacencyTree], None]) -> None:
-    """Emit every rooted tree of order n once, rooted at vertex 0."""
-    if not 1 <= n <= MAX_ENUMERATION_ORDER:
-        raise ValueError(f"order must be in 1..{MAX_ENUMERATION_ORDER}, got {n}")
-    layout: list[int] | None = list(range(n))
-    while layout is not None:
-        emit(_tree_from_levels(layout))
-        layout = _next_rooted_sequence(layout)
-
-
-def prufer_to_edges(code: Sequence[int]) -> list[tuple[int, int]]:
-    """Decode a Prufer sequence into the edge list of a labeled tree.
-
-    A sequence of length n-2 over {0..n-1} yields a tree on n vertices;
-    the empty sequence yields the single edge on two vertices.
-    """
-    n = len(code) + 2
-    degree = [1] * n
-    for x in code:
-        degree[x] += 1
-    ptr = 0
-    while degree[ptr] != 1:
-        ptr += 1
-    leaf = ptr
-    edges = []
-    for x in code:
-        edges.append((leaf, x))
-        degree[x] -= 1
-        if degree[x] == 1 and x < ptr:
-            leaf = x
-        else:
-            ptr += 1
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    edges.append((leaf, n - 1))
-    return edges
 
 
 # ----------------------------------------------------------------------

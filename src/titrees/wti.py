@@ -28,7 +28,6 @@ __all__ = [
     "child_transmission_step",
     "lift_level",
     "join_wti_trees",
-    "validate_wti_tree",
 ]
 
 
@@ -129,56 +128,3 @@ def join_wti_trees(children: Sequence[WTITree]) -> WTITree | None:
 
     return WTITree(order, depth, tuple(parents), tuple(tuple(v) for v in levels))
 
-
-def validate_wti_tree(tree: WTITree) -> None:
-    """Check every structural invariant, raising ValueError on a violation.
-
-    Intended for tests and debugging; the generator never produces trees
-    that fail these checks.
-    """
-    n = tree.order
-    if n < 1:
-        raise ValueError("order must be positive")
-    if len(tree.parents) != n:
-        raise ValueError("parent array length differs from order")
-    if len(tree.level_transmissions) != tree.depth + 1:
-        raise ValueError("level list count differs from depth + 1")
-    if len(tree.level_transmissions[0]) != 1:
-        raise ValueError("level 0 must hold exactly the root")
-    if sum(len(level) for level in tree.level_transmissions) != n:
-        raise ValueError("level list sizes do not sum to the order")
-
-    for x in range(1, n):
-        if not 0 <= tree.parents[x] < x:
-            raise ValueError(f"parent of {x} must precede it, got {tree.parents[x]}")
-
-    # Level populations derived from the parent array must match.
-    level_of = [0] * n
-    for x in range(1, n):
-        level_of[x] = level_of[tree.parents[x]] + 1
-    for i, values in enumerate(tree.level_transmissions):
-        if level_of.count(i) != len(values):
-            raise ValueError(f"level {i} size mismatch")
-    if max(level_of) != tree.depth:
-        raise ValueError("depth differs from the parent-array depth")
-
-    bound = n * (n - 1) // 2
-    for values in tree.level_transmissions:
-        if len(set(values)) != len(values):
-            raise ValueError("duplicate transmission within a level")
-        for t in values:
-            if not 0 <= t <= bound:
-                raise ValueError(f"transmission {t} outside 0..{bound}")
-
-    # Children of every vertex, taken in label order, must have strictly
-    # increasing subtree orders.
-    subtree = [1] * n
-    for x in range(n - 1, 0, -1):
-        subtree[tree.parents[x]] += subtree[x]
-    children: list[list[int]] = [[] for _ in range(n)]
-    for x in range(1, n):
-        children[tree.parents[x]].append(x)
-    for v in range(n):
-        sizes = [subtree[c] for c in children[v]]
-        if any(a >= b for a, b in zip(sizes, sizes[1:])):
-            raise ValueError(f"children of {v} do not have increasing subtree orders")

@@ -4,14 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from titrees import (
-    AdjacencyTree,
-    SINGLE_VERTEX,
-    WTITree,
-    generate_wti_trees,
-    join_wti_trees,
-    to_edge_list,
-)
+from support import to_edge_list
+from titrees import AdjacencyTree, WTITree, generate_wti_trees, join_wti_trees
+from titrees.wti import SINGLE_VERTEX
 
 
 def adjacency_of(tree: WTITree) -> AdjacencyTree:

@@ -1,0 +1,212 @@
+"""Test-only code: edge lists, decoders, and independent reference checks.
+
+Nothing in the package needs these.  The decoders are written apart
+from the encoders, which work on parent arrays, so a round trip through
+them checks the encoders; the WTI invariant checker and the rooted-tree
+and Prufer enumerations are the oracle's second opinions.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, NamedTuple, Sequence
+
+from titrees.oracle import (
+    MAX_ENUMERATION_ORDER,
+    AdjacencyTree,
+    _next_rooted_sequence,
+    _tree_from_levels,
+)
+from titrees.wti import WTITree
+
+Edge = tuple[int, int]
+
+
+class ParentArray(NamedTuple):
+    """A bare tree with ``parents[x] < x``, as the encoders see one."""
+
+    order: int
+    parents: tuple[int, ...]
+
+
+def to_edge_list(tree: WTITree | ParentArray) -> list[Edge]:
+    """Edges (parent, child) as (smaller, larger) pairs, sorted."""
+    edges = [(tree.parents[x], x) for x in range(1, tree.order)]
+    edges.sort()
+    return edges
+
+
+def parent_array(order: int, edges: Sequence[Edge]) -> ParentArray:
+    """The tree whose edges (u, v), u < v, give parents[v] = u."""
+    parents = [0] * order
+    for u, v in edges:
+        parents[v] = u
+    return ParentArray(order, tuple(parents))
+
+
+def chain_edges(order: int) -> list[Edge]:
+    return [(i, i + 1) for i in range(order - 1)]
+
+
+def star_edges(order: int) -> list[Edge]:
+    return [(0, i) for i in range(1, order)]
+
+
+# ----------------------------------------------------------------------
+# graph6 and sparse6 decoders
+# ----------------------------------------------------------------------
+
+
+def _decode_order(data: bytes) -> tuple[int, int]:
+    """(order, bytes consumed) from the front of an encoding."""
+    if data[0] != 126:
+        return data[0] - 63, 1
+    if data[1] != 126:
+        return ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63), 4
+    raise ValueError("orders above the three-byte escape are not supported")
+
+
+def decode_graph6(data: bytes) -> tuple[int, list[Edge]]:
+    """Invert :func:`titrees.formats.graph6_line`; returns (order, sorted edge list)."""
+    order, start = _decode_order(data)
+    edges = []
+    pos = 0
+    for v in range(1, order):
+        for u in range(v):
+            group = data[start + pos // 6] - 63
+            if group >> (5 - pos % 6) & 1:
+                edges.append((u, v))
+            pos += 1
+    return order, sorted(edges)
+
+
+def decode_sparse6(data: bytes) -> tuple[int, list[Edge]]:
+    """Invert :func:`titrees.formats.sparse6_line`; returns (order, sorted edge list)."""
+    if not data.startswith(b":"):
+        raise ValueError("sparse6 data must start with ':'")
+    order, start = _decode_order(data[1:])
+    k = max(1, (order - 1).bit_length())
+    bits: list[int] = []
+    for byte in data[1 + start:]:
+        value = byte - 63
+        bits.extend(value >> (5 - j) & 1 for j in range(6))
+
+    edges = []
+    v = 0
+    pos = 0
+    while pos + 1 + k <= len(bits):
+        b = bits[pos]
+        x = 0
+        for j in range(1, k + 1):
+            x = x << 1 | bits[pos + j]
+        pos += 1 + k
+        if b:
+            v += 1
+        if v >= order or x >= order:
+            break
+        if x > v:
+            v = x
+        else:
+            edges.append((x, v))
+    return order, sorted(edges)
+
+
+# ----------------------------------------------------------------------
+# WTI invariants
+# ----------------------------------------------------------------------
+
+
+def validate_wti_tree(tree: WTITree) -> None:
+    """Check every structural invariant, raising ValueError on a violation.
+
+    The generator never produces trees that fail these checks.
+    """
+    n = tree.order
+    if n < 1:
+        raise ValueError("order must be positive")
+    if len(tree.parents) != n:
+        raise ValueError("parent array length differs from order")
+    if len(tree.level_transmissions) != tree.depth + 1:
+        raise ValueError("level list count differs from depth + 1")
+    if len(tree.level_transmissions[0]) != 1:
+        raise ValueError("level 0 must hold exactly the root")
+    if sum(len(level) for level in tree.level_transmissions) != n:
+        raise ValueError("level list sizes do not sum to the order")
+
+    for x in range(1, n):
+        if not 0 <= tree.parents[x] < x:
+            raise ValueError(f"parent of {x} must precede it, got {tree.parents[x]}")
+
+    # Level populations derived from the parent array must match.
+    level_of = [0] * n
+    for x in range(1, n):
+        level_of[x] = level_of[tree.parents[x]] + 1
+    for i, values in enumerate(tree.level_transmissions):
+        if level_of.count(i) != len(values):
+            raise ValueError(f"level {i} size mismatch")
+    if max(level_of) != tree.depth:
+        raise ValueError("depth differs from the parent-array depth")
+
+    bound = n * (n - 1) // 2
+    for values in tree.level_transmissions:
+        if len(set(values)) != len(values):
+            raise ValueError("duplicate transmission within a level")
+        for t in values:
+            if not 0 <= t <= bound:
+                raise ValueError(f"transmission {t} outside 0..{bound}")
+
+    # Children of every vertex, taken in label order, must have strictly
+    # increasing subtree orders.
+    subtree = [1] * n
+    for x in range(n - 1, 0, -1):
+        subtree[tree.parents[x]] += subtree[x]
+    children: list[list[int]] = [[] for _ in range(n)]
+    for x in range(1, n):
+        children[tree.parents[x]].append(x)
+    for v in range(n):
+        sizes = [subtree[c] for c in children[v]]
+        if any(a >= b for a, b in zip(sizes, sizes[1:])):
+            raise ValueError(f"children of {v} do not have increasing subtree orders")
+
+
+# ----------------------------------------------------------------------
+# The oracle's second enumeration paths
+# ----------------------------------------------------------------------
+
+
+def enumerate_rooted_trees(n: int, emit: Callable[[AdjacencyTree], None]) -> None:
+    """Emit every rooted tree of order n once, rooted at vertex 0."""
+    if not 1 <= n <= MAX_ENUMERATION_ORDER:
+        raise ValueError(f"order must be in 1..{MAX_ENUMERATION_ORDER}, got {n}")
+    layout: list[int] | None = list(range(n))
+    while layout is not None:
+        emit(_tree_from_levels(layout))
+        layout = _next_rooted_sequence(layout)
+
+
+def prufer_to_edges(code: Sequence[int]) -> list[tuple[int, int]]:
+    """Decode a Prufer sequence into the edge list of a labeled tree.
+
+    A sequence of length n-2 over {0..n-1} yields a tree on n vertices;
+    the empty sequence yields the single edge on two vertices.
+    """
+    n = len(code) + 2
+    degree = [1] * n
+    for x in code:
+        degree[x] += 1
+    ptr = 0
+    while degree[ptr] != 1:
+        ptr += 1
+    leaf = ptr
+    edges = []
+    for x in code:
+        edges.append((leaf, x))
+        degree[x] -= 1
+        if degree[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    edges.append((leaf, n - 1))
+    return edges

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -169,19 +171,51 @@ class TestOutputFile:
         assert "I/O error" in capsys.readouterr().err
 
 
+def start_cli(*argv, **kwargs):
+    """Run the command line in a child process, stderr piped."""
+    env = dict(os.environ, PYTHONPATH=str(Path(titrees.__file__).parents[1]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "titrees.cli", *argv], stderr=subprocess.PIPE, env=env, **kwargs
+    )
+
+
+def thread_count(pid):
+    """Threads of a running process, from /proc; None where /proc has no entry."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except OSError:
+        return None
+    return int(next(line.split()[1] for line in status.splitlines() if line.startswith("Threads:")))
+
+
 class TestClosedPipe:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_reader_closing_early_is_a_quiet_success(self, threads):
         # -p 22 writes far more than a 64 KiB pipe buffer holds.
-        env = dict(os.environ, PYTHONPATH=str(Path(titrees.__file__).parents[1]))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "titrees.cli", "-p", "22", "--threads", threads],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-        )
+        proc = start_cli("-p", "22", "--threads", threads, stdout=subprocess.PIPE)
         assert proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
+        proc.stderr.close()
         assert proc.wait(timeout=120) == 0
+        assert err == b""
+
+
+class TestInterrupt:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_ctrl_c_is_a_quiet_exit_130(self, threads):
+        # SIGINT goes to the whole process group, as Ctrl-C in a terminal
+        # does, about 1 s in.  With two workers it waits until the parent
+        # runs the pool's manager thread, and half a second more for the
+        # workers to start, so that it lands in phase 2.
+        proc = start_cli("-c", "34", "--threads", threads, stdout=subprocess.DEVNULL, start_new_session=True)
+        time.sleep(1)
+        if threads == "2":
+            deadline = time.monotonic() + 20
+            while thread_count(proc.pid) == 1 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            time.sleep(0.5)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=30)
+        assert proc.returncode == 130
         assert err == b""

@@ -9,20 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ordered_encoding
-from titrees import (
-    AdjacencyTree,
-    enumerate_rooted_trees,
-    generate_increasing,
-    generate_wti_trees,
-    transmissions_bfs,
-    validate_wti_tree,
-)
+from support import enumerate_rooted_trees, validate_wti_tree
+from titrees import AdjacencyTree, generate_wti_trees, transmissions_bfs
+from titrees.enumeration import generate_increasing
 
 
 def increasing_sequences(alpha: int, beta: int, gamma: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    generate_increasing(alpha, beta, gamma, out.append)
-    return out
+    return list(generate_increasing(alpha, beta, gamma))
 
 
 def brute_force_sequences(alpha: int, beta: int, gamma: int) -> list[tuple[int, ...]]:
@@ -52,7 +45,7 @@ class TestGenerateIncreasing:
     def test_rejects_nonpositive_arguments(self):
         for args in [(0, 3, 3), (3, 0, 3), (3, 3, 0)]:
             with pytest.raises(ValueError):
-                generate_increasing(*args, lambda s: None)
+                list(generate_increasing(*args))
 
     def test_exhaustive_small_grid(self):
         for alpha in range(1, 15):
@@ -123,9 +116,7 @@ class TestGenerateWtiTrees:
         pool = generate_wti_trees(10, 10, stats)
         attempts = 0
         for k in range(2, 11):
-            seqs: list[tuple[int, ...]] = []
-            generate_increasing(k - 1, k - 1, 10, seqs.append)
-            for seq in seqs:
+            for seq in generate_increasing(k - 1, k - 1, 10):
                 product = 1
                 for s in seq:
                     product *= len(pool[s])

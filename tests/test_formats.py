@@ -2,6 +2,8 @@
 
 networkx serves as the reference codec: our encoders must agree with it
 byte for byte, and our independently written decoders must invert them.
+The encoders take trees (anything with ``order`` and ``parents``); edge
+lists only describe the reference side.
 """
 
 from __future__ import annotations
@@ -10,18 +12,18 @@ import networkx as nx
 import pytest
 
 from conftest import adjacency_of, levels_from_parents
-from titrees import (
-    SINGLE_VERTEX,
+from support import (
+    ParentArray,
+    chain_edges,
     decode_graph6,
     decode_sparse6,
-    encode_graph6,
-    encode_parent_list,
-    encode_sparse6,
-    generate_ti_trees,
+    parent_array,
+    star_edges,
     to_edge_list,
-    transmissions_bfs,
 )
+from titrees import generate_ti_trees, graph6_line, parent_list_line, sparse6_line, transmissions_bfs
 from titrees.formats import GRAPH6_MAX_ORDER
+from titrees.wti import SINGLE_VERTEX
 
 
 def nx_graph(order, edges):
@@ -55,90 +57,87 @@ class TestToEdgeList:
 
 class TestGraph6:
     def test_single_vertex_literal(self):
-        assert encode_graph6([], 1) == b"@"
+        assert graph6_line(SINGLE_VERTEX) == b"@"
 
-    def test_single_edge_literal(self):
-        assert encode_graph6([(0, 1)], 2) == b"A_"
+    def test_single_edge_literal(self, chains):
+        assert graph6_line(chains[2]) == b"A_"
 
-    def test_format_tag(self):
+    def test_format_tag(self, chains):
         # The format travels in the bytes: only sparse6 starts with ':'.
-        for edges, k in (([], 1), ([(0, 1)], 2), ([(0, 1), (1, 2)], 3)):
-            assert not encode_graph6(edges, k).startswith(b":")
-            assert encode_sparse6(edges, k).startswith(b":")
+        for tree in (SINGLE_VERTEX, chains[2], chains[3]):
+            assert not graph6_line(tree).startswith(b":")
+            assert sparse6_line(tree).startswith(b":")
 
     def test_round_trip_pool_trees(self, pool12):
         for k in range(1, 11):
             for tree in pool12[k]:
-                edges = to_edge_list(tree)
-                assert decode_graph6(encode_graph6(edges, k)) == (k, edges)
+                assert decode_graph6(graph6_line(tree)) == (k, to_edge_list(tree))
 
     def test_against_reference_codec(self, pool12):
         for k in range(1, 11):
             for tree in pool12[k]:
-                edges = to_edge_list(tree)
-                expected = nx.to_graph6_bytes(nx_graph(k, edges), header=False).strip()
-                assert encode_graph6(edges, k) == expected
+                graph = nx_graph(k, to_edge_list(tree))
+                expected = nx.to_graph6_bytes(graph, header=False).strip()
+                assert graph6_line(tree) == expected
 
     def test_multibyte_order_field(self):
         # A star on 63 vertices forces the three-byte order escape.
-        edges = [(0, v) for v in range(1, 63)]
-        mine = encode_graph6(edges, 63)
-        assert mine[:1] == bytes([126])
-        assert mine == nx.to_graph6_bytes(nx_graph(63, edges), header=False).strip()
-        assert decode_graph6(mine) == (63, edges)
+        edges = star_edges(63)
+        tree = parent_array(63, edges)
+        graph = nx_graph(63, edges)
+        g6, s6 = graph6_line(tree), sparse6_line(tree)
+        assert g6[:1] == bytes([126]) and s6[:2] == b":~"
+        assert g6 == nx.to_graph6_bytes(graph, header=False).strip()
+        assert s6 == nx.to_sparse6_bytes(graph, header=False).strip()
+        assert decode_graph6(g6) == decode_sparse6(s6) == (63, edges)
 
     def test_order_out_of_range(self):
-        with pytest.raises(ValueError):
-            encode_graph6([], 0)
-        with pytest.raises(ValueError):
-            encode_graph6([], GRAPH6_MAX_ORDER + 1)
+        for encode in (graph6_line, sparse6_line):
+            with pytest.raises(ValueError):
+                encode(ParentArray(0, ()))
+            with pytest.raises(ValueError):
+                encode(ParentArray(GRAPH6_MAX_ORDER + 1, ()))
 
 
 class TestSparse6:
     def test_single_vertex(self):
-        enc = encode_sparse6([], 1)
+        enc = sparse6_line(SINGLE_VERTEX)
         assert enc == b":@"
         assert decode_sparse6(enc) == (1, [])
 
     def test_round_trip_pool_trees(self, pool12):
         for k in range(1, 11):
             for tree in pool12[k]:
-                edges = to_edge_list(tree)
-                assert decode_sparse6(encode_sparse6(edges, k)) == (k, edges)
+                assert decode_sparse6(sparse6_line(tree)) == (k, to_edge_list(tree))
 
     def test_against_reference_codec(self, pool12):
         for k in range(1, 11):
             for tree in pool12[k]:
-                edges = to_edge_list(tree)
-                expected = nx.to_sparse6_bytes(nx_graph(k, edges), header=False).strip()
-                assert encode_sparse6(edges, k) == expected
+                graph = nx_graph(k, to_edge_list(tree))
+                expected = nx.to_sparse6_bytes(graph, header=False).strip()
+                assert sparse6_line(tree) == expected
 
     @pytest.mark.parametrize(
         "order,edges",
-        [
-            (2, [(0, 1)]),
-            (4, [(0, 1), (1, 2), (2, 3)]),
-            (4, [(0, 1), (0, 2), (0, 3)]),
-            (8, [(i, i + 1) for i in range(7)]),
-            (8, [(0, i) for i in range(1, 8)]),
-            (16, [(i, i + 1) for i in range(15)]),
-            (16, [(0, i) for i in range(1, 16)]),
-        ],
+        [(2, [(0, 1)])]
+        + [(n, shape(n)) for n in (4, 8, 16, 63, 64, 65) for shape in (chain_edges, star_edges)],
     )
     def test_power_of_two_padding(self, order, edges):
-        # Orders 2, 4, 8, 16 hit the special padding rule; the reference
-        # codec is authoritative for these.
-        expected = nx.to_sparse6_bytes(nx_graph(order, edges), header=False).strip()
-        mine = encode_sparse6(edges, order)
-        assert mine == expected
+        # Orders 2, 4, 8, 16 are where sparse6 has a special padding rule,
+        # and 63-65 need the three-byte order escape; the reference codec
+        # is authoritative for both formats.
+        tree = parent_array(order, edges)
+        graph = nx_graph(order, edges)
+        assert graph6_line(tree) == nx.to_graph6_bytes(graph, header=False).strip()
+        mine = sparse6_line(tree)
+        assert mine == nx.to_sparse6_bytes(graph, header=False).strip()
         assert decode_sparse6(mine) == (order, sorted(edges))
 
     def test_cross_format_agreement_on_ti_trees(self):
         for tree in ti_trees_up_to(14):
-            edges = to_edge_list(tree)
-            via_g6 = decode_graph6(encode_graph6(edges, tree.order))
-            via_s6 = decode_sparse6(encode_sparse6(edges, tree.order))
-            assert via_g6 == via_s6 == (tree.order, edges)
+            via_g6 = decode_graph6(graph6_line(tree))
+            via_s6 = decode_sparse6(sparse6_line(tree))
+            assert via_g6 == via_s6 == (tree.order, to_edge_list(tree))
 
     def test_rejects_missing_prefix(self):
         with pytest.raises(ValueError):
@@ -149,28 +148,27 @@ class TestPrintableRange:
     def test_all_payload_bytes_printable(self, pool12):
         for k in range(1, 13):
             for tree in pool12[k]:
-                edges = to_edge_list(tree)
-                for enc in (encode_graph6(edges, k), encode_sparse6(edges, k)):
+                for enc in (graph6_line(tree), sparse6_line(tree)):
                     payload = enc[1:] if enc.startswith(b":") else enc
                     assert all(63 <= byte <= 126 for byte in payload)
 
 
 class TestParentList:
     def test_single_vertex_empty_line(self):
-        assert encode_parent_list(SINGLE_VERTEX) == b""
+        assert parent_list_line(SINGLE_VERTEX) == b""
 
     def test_two_vertex_tree(self, chains):
-        assert encode_parent_list(chains[2]) == b"0"
+        assert parent_list_line(chains[2]) == b"0"
 
     def test_spider_labels(self, spider7):
-        assert encode_parent_list(spider7) == b"0 0 2 0 4 5"
+        assert parent_list_line(spider7) == b"0 0 2 0 4 5"
 
     def test_reparses_to_matching_transmissions(self, pool12):
         # Parse the line back into a parent array, rebuild the tree, and
         # compare BFS transmissions with the stored level lists.
         for k in range(1, 13):
             for tree in pool12[k]:
-                text = encode_parent_list(tree).decode("ascii")
+                text = parent_list_line(tree).decode("ascii")
                 parents = [int(token) for token in text.split()]
                 assert len(parents) == k - 1
                 rebuilt = adjacency_of(tree)

@@ -8,25 +8,25 @@ import pytest
 
 from conftest import adjacency_of
 from reference_scan import _masked_collection, _scan_products
+from support import validate_wti_tree
 from titrees import (
-    SINGLE_VERTEX,
     canonical_form,
-    generate_increasing,
     generate_ti_trees,
     generate_wti_trees,
-    get_max_degree,
-    is_ti_tree,
     join_wti_trees,
-    validate_wti_tree,
+    parent_list_line,
 )
-from titrees.formats import parent_list_line
+from titrees.enumeration import generate_increasing
 from titrees.generation import (
     TICensus,
     _build_subtree_pools,
     _phase2_sequences,
     _scan_sequences,
     _sliced_pool,
+    get_max_degree,
+    is_ti_tree,
 )
+from titrees.wti import SINGLE_VERTEX
 
 KNOWN_TI_COUNTS_15 = {
     1: 1, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 1, 8: 0, 9: 1, 10: 0,
@@ -61,9 +61,7 @@ def reference_generate(n: int, m: int | None):
         beta = (k - 1) // 2
         if beta < 1:
             continue
-        sequences: list[tuple[int, ...]] = []
-        generate_increasing(k - 1, beta, m_eff, sequences.append)
-        for seq in sequences:
+        for seq in generate_increasing(k - 1, beta, m_eff):
             for combo in itertools.product(*(subtrees[s] for s in seq)):
                 tree = join_wti_trees(combo)
                 if tree is not None and is_ti_tree(tree):

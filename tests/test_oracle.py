@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import enumerate_rooted_trees, prufer_to_edges
 from titrees import (
     AdjacencyTree,
     canonical_form,
     enumerate_free_trees,
-    enumerate_rooted_trees,
     is_ti_graph,
-    prufer_to_edges,
     transmissions_bfs,
 )
 from titrees.oracle import MAX_ENUMERATION_ORDER

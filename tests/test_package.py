@@ -1,0 +1,32 @@
+"""The package's public surface."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import titrees
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+LIBRARY = [
+    "AdjacencyTree",
+    "TICensus",
+    "WTITree",
+    "canonical_form",
+    "enumerate_free_trees",
+    "generate_ti_trees",
+    "generate_wti_trees",
+    "graph6_line",
+    "is_ti_graph",
+    "join_wti_trees",
+    "parent_list_line",
+    "sparse6_line",
+    "transmissions_bfs",
+]
+
+
+def test_all_is_the_library_surface_the_readme_documents():
+    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    assert sorted(titrees.__all__) == LIBRARY
+    assert all(f"`{name}`" in section or f"`{name}(" in section for name in LIBRARY)
+    assert all(hasattr(titrees, name) for name in LIBRARY)

@@ -17,14 +17,13 @@ from hypothesis import strategies as st
 
 import titrees
 from conftest import adjacency_of, levels_from_parents, subtree_sizes_from_parents
-from titrees import (
+from support import validate_wti_tree
+from titrees import join_wti_trees, transmissions_bfs
+from titrees.wti import (
     SINGLE_VERTEX,
     child_transmission_step,
-    join_wti_trees,
     lift_level,
     root_transmission_of_join,
-    transmissions_bfs,
-    validate_wti_tree,
 )
 
 
@@ -117,7 +116,7 @@ class TestJoinWtiTrees:
     def test_order_check_survives_optimize_flag(self):
         # python -O strips asserts; the precondition must still raise.
         code = (
-            "from titrees import SINGLE_VERTEX, join_wti_trees\n"
+            "from titrees.wti import SINGLE_VERTEX, join_wti_trees\n"
             "try:\n"
             "    join_wti_trees([SINGLE_VERTEX, SINGLE_VERTEX])\n"
             "except ValueError:\n"
