@@ -100,16 +100,12 @@ def is_ti_tree(tree: WTITree) -> bool:
     """True iff the tree is a canonical TI form.
 
     Requires all transmissions across all levels to be pairwise distinct
-    with the unique minimum sitting at the root.
+    with the unique minimum sitting at the root.  The levels of a WTI
+    tree hold as many bits as vertices, so the values are distinct
+    exactly when their union has ``order`` bits.
     """
-    root_value = tree.level_transmissions[0][0]
-    seen: set[int] = set()
-    for values in tree.level_transmissions:
-        for t in values:
-            if t < root_value or t in seen:
-                return False
-            seen.add(t)
-    return True
+    union = reduce(or_, tree.levels)
+    return union.bit_count() == tree.order and union & -union == tree.levels[0]
 
 
 # ----------------------------------------------------------------------
@@ -127,21 +123,24 @@ def _offset_mask(tree: WTITree, joined_order: int) -> int | None:
         t - root_transmission + (joined_order - 2c) + (joined_order - c) * l
 
     independently of the sibling subtrees.  Bit o of the mask is set for
-    each such offset o.  Returns None when the tree can never take part
-    in a TI join of this order: some offset is <= 0 (a vertex would tie
-    or undercut the root) or two of its own vertices always collide.
+    each such offset o, so the mask is the OR of the level bitsets, each
+    shifted by the offset of its level's value 0.  Returns None when the
+    tree can never take part in a TI join of this order: some offset is
+    <= 0 (a vertex would tie or undercut the root) or two of its own
+    vertices always collide.
     """
     c = tree.order
-    base = joined_order - 2 * c - tree.root_transmission
+    shift = joined_order - 2 * c - tree.root_transmission
     step = joined_order - c
     mask = 0
-    for level, values in enumerate(tree.level_transmissions):
-        shift = base + step * level
-        for t in values:
-            offset = t + shift
-            if offset <= 0:
-                return None
-            mask |= 1 << offset
+    for bits in tree.levels:
+        if shift > 0:
+            mask |= bits << shift
+        elif bits & ((2 << -shift) - 1):  # a value t <= -shift
+            return None
+        else:
+            mask |= bits >> -shift
+        shift += step
     if mask.bit_count() != c:
         return None
     return mask

@@ -3,17 +3,22 @@
 An ordered rooted tree is WTI when any two vertices on the same level
 have different transmissions (a vertex's transmission is its hop-count
 sum to all other vertices).  Trees are represented compactly: a parent
-array plus one list of transmission values per level.  New trees are
-built exclusively by joining smaller WTI trees under a fresh root, and
-the transmission lists of the result are derived from the children's
-lists with O(1) arithmetic per vertex instead of fresh distance sweeps:
+array plus one int bitset per level, with bit t set when some vertex of
+that level has transmission t.  New trees are built exclusively by
+joining smaller WTI trees under a fresh root, and the levels of the
+result are derived from the children's levels without distance sweeps:
 
-* the new root's transmission is the sum of the children's root
+* the new root's transmission R is the sum of the children's root
   transmissions plus one for each of the n - 1 other vertices;
 * crossing the edge from the root to a child subtree of size c changes
   a transmission by n - 2c;
 * every vertex deeper inside a child shifts by the same root delta plus
   (n - c) times its level within the child.
+
+So all vertices of one level of a child of order c and root
+transmission rt shift by the same amount, R + n - 2c - rt + (n - c) * l
+at level l, which is always positive: a join is one big-int shift per
+child level, an AND to test for a repeated value and an OR.
 """
 
 from __future__ import annotations
@@ -24,69 +29,58 @@ from typing import Sequence
 __all__ = [
     "WTITree",
     "SINGLE_VERTEX",
-    "root_transmission_of_join",
-    "child_transmission_step",
-    "lift_level",
     "join_wti_trees",
 ]
 
 
 @dataclass(frozen=True, slots=True)
 class WTITree:
-    """Immutable ordered rooted tree with per-level transmission lists.
+    """Immutable ordered rooted tree with one transmission bitset per level.
 
     Vertices are labeled 0..order-1 with the root labeled 0 and every
     child labeled after its parent, so ``parents[x] < x`` for x >= 1
-    (``parents[0]`` is an unused sentinel).  ``level_transmissions[i]``
-    holds the transmissions of the level-i vertices, grouped by child
-    in join order.  Instances are safe to share across threads and
-    processes.
+    (``parents[0]`` is an unused sentinel).  Bit t of ``levels[i]`` is
+    set iff some level-i vertex has transmission t; a WTI level has as
+    many bits as vertices.  Instances are safe to share across threads
+    and processes.
     """
 
     order: int
-    depth: int
     parents: tuple[int, ...]
-    level_transmissions: tuple[tuple[int, ...], ...]
+    levels: tuple[int, ...]
+
+    @property
+    def depth(self) -> int:
+        return len(self.levels) - 1
 
     @property
     def root_transmission(self) -> int:
-        return self.level_transmissions[0][0]
+        return self.levels[0].bit_length() - 1
+
+    @property
+    def level_transmissions(self) -> tuple[tuple[int, ...], ...]:
+        """The transmissions of each level, in ascending label order.
+
+        Derived from ``parents`` alone: the root's transmission is the
+        sum of the depths, and crossing the edge into the subtree of x
+        changes a transmission by order - 2 * size(x).
+        """
+        n, parents = self.order, self.parents
+        size = [1] * n
+        for x in range(n - 1, 0, -1):
+            size[parents[x]] += size[x]
+        level = [0] * n
+        for x in range(1, n):
+            level[x] = level[parents[x]] + 1
+        value = [sum(level)] * n
+        grouped: list[list[int]] = [[value[0]]] + [[] for _ in range(max(level))]
+        for x in range(1, n):
+            value[x] = value[parents[x]] + n - 2 * size[x]
+            grouped[level[x]].append(value[x])
+        return tuple(map(tuple, grouped))
 
 
-SINGLE_VERTEX = WTITree(order=1, depth=0, parents=(0,), level_transmissions=((0,),))
-
-
-def root_transmission_of_join(child_root_transmissions: Sequence[int], joined_order: int) -> int:
-    """Transmission of a fresh root placed above the given child trees."""
-    return sum(child_root_transmissions) + joined_order - 1
-
-
-def child_transmission_step(root_transmission: int, joined_order: int, child_subtree_order: int) -> int:
-    """Transmission of a root's child, given the root's, in the joined tree.
-
-    Stepping across an edge toward a subtree with ``child_subtree_order``
-    vertices moves the walker closer to those vertices and farther from
-    the remaining ``joined_order - child_subtree_order``.
-    """
-    return root_transmission + joined_order - 2 * child_subtree_order
-
-
-def lift_level(
-    child_level_values: Sequence[int],
-    delta_root: int,
-    joined_order: int,
-    child_order: int,
-    level_in_child: int,
-) -> list[int]:
-    """Map a child's within-child transmissions to joined-tree values.
-
-    ``delta_root`` is the change the child's own root experienced when
-    the trees were joined; a vertex ``level_in_child`` edges below it
-    additionally gains that many steps against the vertices outside the
-    child.  Order is preserved.
-    """
-    shift = delta_root + (joined_order - child_order) * level_in_child
-    return [t + shift for t in child_level_values]
+SINGLE_VERTEX = WTITree(order=1, parents=(0,), levels=(1,))
 
 
 def join_wti_trees(children: Sequence[WTITree]) -> WTITree | None:
@@ -98,33 +92,33 @@ def join_wti_trees(children: Sequence[WTITree]) -> WTITree | None:
     Returns None exactly when some level of the combined tree would
     contain a duplicated transmission value.
     """
-    if any(a.order >= b.order for a, b in zip(children, children[1:])):
-        raise ValueError("children must have strictly increasing orders")
-    order = 1 + sum(c.order for c in children)
-    depth = 1 + max(c.depth for c in children)
-    root_value = root_transmission_of_join([c.root_transmission for c in children], order)
-
-    levels: list[list[int]] = [[root_value]]
-    levels.extend([] for _ in range(depth))
+    order = 1
+    root_value = 0
+    previous = 0
     for child in children:
-        entry = child_transmission_step(root_value, order, child.order)
-        delta = entry - child.root_transmission
-        levels[1].append(entry)
-        for lvl in range(1, child.depth + 1):
-            levels[lvl + 1].extend(
-                lift_level(child.level_transmissions[lvl], delta, order, child.order, lvl)
-            )
-
-    for values in levels:
-        if len(set(values)) != len(values):
-            return None
-
-    parents = [0] * order
-    offset = 1
+        if child.order <= previous:
+            raise ValueError("children must have strictly increasing orders")
+        previous = child.order
+        order += previous
+        root_value += child.root_transmission
+    root_value += order - 1
+    levels = [1 << root_value]
+    parents = [0]
     for child in children:
-        for x in range(1, child.order):
-            parents[offset + x] = child.parents[x] + offset
-        offset += child.order
-
-    return WTITree(order, depth, tuple(parents), tuple(tuple(v) for v in levels))
-
+        c = child.order
+        shift = root_value + order - 2 * c - child.root_transmission
+        step = order - c
+        for lvl, bits in enumerate(child.levels, 1):
+            bits <<= shift
+            if lvl == len(levels):
+                levels.append(bits)
+            elif levels[lvl] & bits:
+                return None
+            else:
+                levels[lvl] |= bits
+            shift += step
+        # The child's segment, relabeled; its root hangs off the new root.
+        offset = len(parents)
+        parents += map(offset.__add__, child.parents)
+        parents[offset] = 0
+    return WTITree(order, tuple(parents), tuple(levels))

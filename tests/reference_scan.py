@@ -3,25 +3,31 @@
 One Python ``used & mask`` test per pool tree per scan node: slow, but
 plainly the pairwise-disjointness test the offset masks stand for.
 ``tests/test_generation.py`` compares ``titrees.generation`` against it
-per (order, sequence) over counts, degree caps and emission order.
+per (order, sequence) over counts, degree caps and emission order.  It
+scans pools of list-based trees with the list-based masks, join and TI
+test of ``reference_join.py``, not the package's bitset kernels.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
+from reference_join import (
+    ListTree,
+    reference_is_ti_tree,
+    reference_join,
+    reference_offset_mask,
+)
 from titrees.enumeration import IncreasingSequence
-from titrees.generation import TreeCallback, _offset_mask, is_ti_tree
-from titrees.wti import WTITree, join_wti_trees
 
 
-MaskedPool = list[tuple[int, WTITree]]
+MaskedPool = list[tuple[int, ListTree]]
 
 
-def _masked_collection(trees: Sequence[WTITree], joined_order: int) -> MaskedPool:
+def _masked_collection(trees: Sequence[ListTree], joined_order: int) -> MaskedPool:
     out: MaskedPool = []
     for tree in trees:
-        mask = _offset_mask(tree, joined_order)
+        mask = reference_offset_mask(tree, joined_order)
         if mask is not None:
             out.append((mask, tree))
     return out
@@ -31,7 +37,7 @@ def _scan_products(
     k: int,
     sequences: Sequence[IncreasingSequence],
     masked: dict[int, MaskedPool],
-    func: TreeCallback | None,
+    func: Callable[[ListTree], None] | None,
 ) -> int:
     """Count (and optionally emit) the TI joins of order k.
 
@@ -56,8 +62,8 @@ def _scan_products(
                     count += 1
                     if func is not None:
                         chosen[i] = tree
-                        joined = join_wti_trees(chosen)
-                        assert joined is not None and is_ti_tree(joined)
+                        joined = reference_join(chosen)
+                        assert joined is not None and reference_is_ti_tree(joined)
                         func(joined)
             else:
                 for mask, tree in pools[i]:

@@ -115,6 +115,11 @@ def decode_sparse6(data: bytes) -> tuple[int, list[Edge]]:
 # ----------------------------------------------------------------------
 
 
+def level_sets(tree: WTITree) -> list[set[int]]:
+    """The transmissions of each level, read off the level bitsets."""
+    return [{t for t in range(bits.bit_length()) if bits >> t & 1} for bits in tree.levels]
+
+
 def validate_wti_tree(tree: WTITree) -> None:
     """Check every structural invariant, raising ValueError on a violation.
 
@@ -125,34 +130,26 @@ def validate_wti_tree(tree: WTITree) -> None:
         raise ValueError("order must be positive")
     if len(tree.parents) != n:
         raise ValueError("parent array length differs from order")
-    if len(tree.level_transmissions) != tree.depth + 1:
-        raise ValueError("level list count differs from depth + 1")
-    if len(tree.level_transmissions[0]) != 1:
-        raise ValueError("level 0 must hold exactly the root")
-    if sum(len(level) for level in tree.level_transmissions) != n:
-        raise ValueError("level list sizes do not sum to the order")
 
     for x in range(1, n):
         if not 0 <= tree.parents[x] < x:
             raise ValueError(f"parent of {x} must precede it, got {tree.parents[x]}")
 
-    # Level populations derived from the parent array must match.
+    # Level populations derived from the parent array must match the bit
+    # counts: a level with fewer bits than vertices repeats a value.
     level_of = [0] * n
     for x in range(1, n):
         level_of[x] = level_of[tree.parents[x]] + 1
-    for i, values in enumerate(tree.level_transmissions):
-        if level_of.count(i) != len(values):
-            raise ValueError(f"level {i} size mismatch")
-    if max(level_of) != tree.depth:
-        raise ValueError("depth differs from the parent-array depth")
+    if len(tree.levels) != max(level_of) + 1:
+        raise ValueError("level count differs from the parent-array depth + 1")
+    for i, bits in enumerate(tree.levels):
+        if level_of.count(i) != bits.bit_count():
+            raise ValueError(f"level {i} holds {bits.bit_count()} values for {level_of.count(i)} vertices")
 
     bound = n * (n - 1) // 2
-    for values in tree.level_transmissions:
-        if len(set(values)) != len(values):
-            raise ValueError("duplicate transmission within a level")
-        for t in values:
-            if not 0 <= t <= bound:
-                raise ValueError(f"transmission {t} outside 0..{bound}")
+    for bits in tree.levels:
+        if bits >> (bound + 1):
+            raise ValueError(f"transmission {bits.bit_length() - 1} outside 0..{bound}")
 
     # Children of every vertex, taken in label order, must have strictly
     # increasing subtree orders.

@@ -14,7 +14,7 @@ import time
 from collections import Counter
 
 from conftest import adjacency_of, levels_from_parents, subtree_sizes_from_parents
-from support import decode_graph6, decode_sparse6, prufer_to_edges, to_edge_list
+from support import decode_graph6, decode_sparse6, level_sets, prufer_to_edges, to_edge_list
 from titrees import (
     AdjacencyTree,
     canonical_form,
@@ -153,8 +153,9 @@ def test_criterion_5_oracle_self_check():
 
 
 def test_criterion_6_incremental_arithmetic():
-    """On every pool tree of order <= 12, stored level transmissions equal
-    BFS-computed ones, and the edge-step identity holds on every edge."""
+    """On every pool tree of order <= 12, the stored level bitsets and the
+    level transmissions derived from the parent array equal BFS-computed
+    ones, and the edge-step identity holds on every edge."""
     pool = generate_wti_trees(12, 12)
     levels_ok = True
     edges_ok = True
@@ -167,6 +168,8 @@ def test_criterion_6_incremental_arithmetic():
                 for i in range(tree.depth + 1)
             )
             if grouped != tree.level_transmissions:
+                levels_ok = False
+            if level_sets(tree) != [set(values) for values in grouped]:
                 levels_ok = False
             size = subtree_sizes_from_parents(tree)
             for x in range(1, tree.order):

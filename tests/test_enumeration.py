@@ -124,6 +124,16 @@ class TestGenerateWtiTrees:
         successes = sum(len(pool[k]) for k in range(2, 11))
         assert stats["failed_joins"] == attempts - successes
 
+    def test_pool_of_order_15_pinned(self):
+        # Regression pins taken from the seed's list-based join kernel: the
+        # bitset join must build the same pool sizes and fail the same
+        # number of joins.
+        stats: dict = {}
+        pool = generate_wti_trees(15, 14, stats)
+        assert [len(trees) for trees in pool[12:]] == [501, 1099, 2441, 5460]
+        assert sum(len(trees) for trees in pool) == 9_933
+        assert stats["failed_joins"] == 270
+
     def test_pool_complete_against_rooted_enumeration(self, pool12):
         """The pool must hold exactly the unbalanced rooted trees whose
         levels have distinct BFS transmissions, for every order <= 12."""

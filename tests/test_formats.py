@@ -165,7 +165,7 @@ class TestParentList:
 
     def test_reparses_to_matching_transmissions(self, pool12):
         # Parse the line back into a parent array, rebuild the tree, and
-        # compare BFS transmissions with the stored level lists.
+        # compare BFS transmissions with the derived level lists.
         for k in range(1, 13):
             for tree in pool12[k]:
                 text = parent_list_line(tree).decode("ascii")

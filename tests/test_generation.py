@@ -7,13 +7,12 @@ import itertools
 import pytest
 
 from conftest import adjacency_of
+from reference_join import reference_is_ti_tree, reference_join, reference_pool
 from reference_scan import _masked_collection, _scan_products
 from support import validate_wti_tree
 from titrees import (
     canonical_form,
     generate_ti_trees,
-    generate_wti_trees,
-    join_wti_trees,
     parent_list_line,
 )
 from titrees.enumeration import generate_increasing
@@ -34,37 +33,48 @@ KNOWN_TI_COUNTS_15 = {
 }
 
 
-def reference_generate(n: int, m: int | None):
-    """Plain two-phase reference: join every tuple, then filter.
-
-    Mirrors the driver's contract directly (cartesian products of pool
-    collections, one join per tuple, TI filter on the result) without the
-    offset-mask shortcut, so it double-checks that shortcut.
-    """
-    m_eff = n - 1 if m is None else m
+def reference_phase1(n: int, m_eff: int):
+    """Phase 1 on the reference pool: (small TI trees, components by order)."""
     half = max(1, n // 2)
-    pool = generate_wti_trees(half, max(1, m_eff))
-    census = {k: 0 for k in range(1, n + 1)}
-    emitted = []
+    pool = reference_pool(half, max(1, m_eff))
+    small_ti = []
     subtrees: list[list] = [[] for _ in range(half + 1)]
     for k in range(1, half + 1):
         for tree in pool[k]:
             max_degree, root_children = get_max_degree(tree)
             if max_degree > m_eff:
                 continue
-            if is_ti_tree(tree):
-                census[k] += 1
-                emitted.append(tree.parents)
+            if reference_is_ti_tree(tree):
+                small_ti.append(tree)
             if root_children < m_eff:
                 subtrees[k].append(tree)
-    for k in range(half + 1, n + 1):
+    return small_ti, subtrees
+
+
+def reference_generate(n: int, m: int | None):
+    """Plain two-phase reference: join every tuple, then filter.
+
+    Mirrors the contract of ``generate_ti_trees`` directly (cartesian
+    products of pool collections, one join per tuple, TI filter on the
+    result) without the offset-mask shortcut, so it double-checks that
+    shortcut.  The pool,
+    the joins and the TI test are the list-based ones of
+    ``reference_join.py``.
+    """
+    m_eff = n - 1 if m is None else m
+    small_ti, subtrees = reference_phase1(n, m_eff)
+    census = {k: 0 for k in range(1, n + 1)}
+    for tree in small_ti:
+        census[tree.order] += 1
+    emitted = [tree.parents for tree in small_ti]
+    for k in range(max(1, n // 2) + 1, n + 1):
         beta = (k - 1) // 2
         if beta < 1:
             continue
         for seq in generate_increasing(k - 1, beta, m_eff):
             for combo in itertools.product(*(subtrees[s] for s in seq)):
-                tree = join_wti_trees(combo)
-                if tree is not None and is_ti_tree(tree):
+                tree = reference_join(combo)
+                if tree is not None and reference_is_ti_tree(tree):
                     census[k] += 1
                     emitted.append(tree.parents)
     return census, emitted
@@ -148,15 +158,17 @@ def scan_per_sequence(n: int, m: int | None, emit: bool):
 
     Yields ``((k, seq), new, ref)`` where ``new`` comes from the
     bit-sliced kernel and ``ref`` from the seed kernel in
-    ``reference_scan.py``: counts, or the emitted parent tuples in order.
+    ``reference_scan.py`` on the pools of ``reference_phase1``: counts,
+    or the emitted parent tuples in order.
     """
     m_eff = n - 1 if m is None else m
     subtrees = _build_subtree_pools(n, m_eff, TICensus.zeros(n), None)
+    _, ref_subtrees = reference_phase1(n, m_eff)
     for k in range(1, n + 1):
         sequences = _phase2_sequences(k, m_eff)
         parts = {s for seq in sequences for s in seq}
         sliced = {s: _sliced_pool(subtrees[s], k) for s in parts}
-        masked = {s: _masked_collection(subtrees[s], k) for s in parts}
+        masked = {s: _masked_collection(ref_subtrees[s], k) for s in parts}
         for seq in sequences:
             if emit:
                 new: list = []

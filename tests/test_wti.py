@@ -12,66 +12,72 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import titrees
 from conftest import adjacency_of, levels_from_parents, subtree_sizes_from_parents
-from support import validate_wti_tree
+from support import level_sets, validate_wti_tree
 from titrees import join_wti_trees, transmissions_bfs
-from titrees.wti import (
-    SINGLE_VERTEX,
-    child_transmission_step,
-    lift_level,
-    root_transmission_of_join,
-)
+from titrees.wti import SINGLE_VERTEX
 
 
 class TestRootTransmissionOfJoin:
+    """The root bit of a join: the children's root transmissions plus n - 1."""
+
     def test_single_vertex(self):
-        assert root_transmission_of_join([], 1) == 0
+        assert SINGLE_VERTEX.levels[0] == 1 << 0
+        assert SINGLE_VERTEX.root_transmission == 0
 
-    def test_spider_7(self):
-        # BFS-checked: root of the 7-vertex spider with legs 1, 2, 3.
-        assert root_transmission_of_join([0, 1, 3], 7) == 10
+    def test_spider_7(self, spider7):
+        # BFS-checked: root of the 7-vertex spider with legs 1, 2, 3, whose
+        # children have root transmissions 0, 1 and 3.
+        assert spider7.levels[0] == 1 << 10
+        assert spider7.root_transmission == 10
 
-    def test_path_5(self):
+    def test_path_5(self, chains):
         # BFS-checked: end of the 5-vertex path; the child is the
         # 4-vertex path rooted at an end, whose root transmission is 6.
-        assert root_transmission_of_join([6], 5) == 10
+        assert chains[4].root_transmission == 6
+        assert chains[5].levels[0] == 1 << 10
 
 
 class TestChildTransmissionStep:
-    def test_leaf_child_of_spider(self):
-        assert child_transmission_step(10, 7, 1) == 15  # BFS-checked
+    """Level 1 of a join: the root's value plus n - 2c for a child of order c."""
 
-    def test_leg3_anchor_of_spider(self):
-        assert child_transmission_step(10, 7, 3) == 11  # BFS-checked
+    def test_leaf_child_of_spider(self, spider7):
+        assert 15 in level_sets(spider7)[1]  # BFS-checked: 10 + 7 - 2 * 1
 
-    def test_two_vertex_tree(self):
+    def test_leg3_anchor_of_spider(self, spider7):
+        assert 11 in level_sets(spider7)[1]  # BFS-checked: 10 + 7 - 2 * 3
+
+    def test_two_vertex_tree(self, chains):
         # Both vertices of the 2-vertex tree have transmission 1: stepping
         # from the root (transmission 1) to its only child changes nothing.
-        assert child_transmission_step(1, 2, 1) == 1
+        assert chains[2].levels == (1 << 1, 1 << 1)
 
 
 class TestLiftLevel:
-    def test_far_leaf_of_leg2(self):
-        assert lift_level([1], 12, 7, 2, 1) == [18]  # BFS-checked
+    """Deeper levels: level l of a child shifts by one amount, a bitset shift."""
 
-    def test_leg3_interior_and_tip(self):
-        assert lift_level([2], 8, 7, 3, 1) == [14]  # BFS-checked
-        assert lift_level([3], 8, 7, 3, 2) == [19]  # BFS-checked
+    def test_far_leaf_of_leg2(self, spider7):
+        assert 18 in level_sets(spider7)[2]  # BFS-checked
 
-    @given(
-        values=st.lists(st.integers(min_value=0, max_value=500)),
-        order=st.integers(min_value=1, max_value=50),
-        level=st.integers(min_value=0, max_value=20),
-    )
-    def test_identity_shift(self, values, order, level):
-        assert lift_level(values, 0, order, order, level) == values
+    def test_leg3_interior_and_tip(self, spider7):
+        assert 14 in level_sets(spider7)[2]  # BFS-checked
+        assert level_sets(spider7)[3] == {19}  # BFS-checked
 
-    def test_preserves_order(self):
-        assert lift_level([5, 1, 3], 2, 9, 4, 2) == [17, 13, 15]
+    def test_identity_shift(self, pool12):
+        # Under a lone parent (n = c + 1) a child's level l moves by
+        # R + n - 2c - rt + (n - c) * l = l + 1, whatever the tree.
+        for k in range(1, 11):
+            for tree in pool12[k]:
+                joined = join_wti_trees([tree])
+                assert joined.levels[1:] == tuple(bits << (l + 1) for l, bits in enumerate(tree.levels))
+
+    def test_preserves_order(self, spider7):
+        # The children's vertices keep their join order: the derived
+        # level-1 values list the legs of lengths 1, 2 and 3 in turn.
+        assert spider7.level_transmissions[1] == (15, 13, 11)
+        assert spider7.parents == (0, 0, 0, 2, 0, 4, 5)
 
 
 class TestJoinWtiTrees:
@@ -79,6 +85,7 @@ class TestJoinWtiTrees:
         tree = join_wti_trees([SINGLE_VERTEX])
         assert tree is not None
         assert tree.order == 2
+        assert tree.levels == (1 << 1, 1 << 1)
         assert tree.level_transmissions == ((1,), (1,))
         assert tree.parents == (0, 0)
 
@@ -87,6 +94,7 @@ class TestJoinWtiTrees:
         assert spider7 is not None
         assert spider7.order == 7
         assert spider7.depth == 3
+        assert level_sets(spider7) == [{10}, {15, 13, 11}, {18, 14}, {19}]
         assert spider7.level_transmissions == ((10,), (15, 13, 11), (18, 14), (19,))
         assert spider7.parents == (0, 0, 0, 2, 0, 4, 5)
 
@@ -94,7 +102,8 @@ class TestJoinWtiTrees:
         # The legs-1,2,4 spider repeats 14 across levels 0 and 1; within
         # each single level the values stay distinct, so the join succeeds.
         assert spider8 is not None
-        assert spider8.level_transmissions[0] == (14,)
+        assert spider8.levels[0] == 1 << 14
+        assert level_sets(spider8)[1] == {20, 18, 14}
         assert spider8.level_transmissions[1] == (20, 18, 14)
 
     def test_within_level_duplicate_fails(self, chains):
@@ -130,8 +139,8 @@ class TestJoinWtiTrees:
     def test_depth_and_order_formulas(self, pool12):
         for k in (5, 8, 11):
             for tree in pool12[k][:20]:
-                assert sum(len(v) for v in tree.level_transmissions) == tree.order
-                assert len(tree.level_transmissions) == tree.depth + 1
+                assert sum(bits.bit_count() for bits in tree.levels) == tree.order
+                assert len(tree.levels) == tree.depth + 1 == max(levels_from_parents(tree)) + 1
 
 
 class TestPoolAgainstBfsOracle:
@@ -139,8 +148,8 @@ class TestPoolAgainstBfsOracle:
 
     def test_stored_levels_equal_bfs_levels(self, pool12):
         # Rebuild each tree from its parent array alone and recompute all
-        # transmissions by BFS; the per-level lists must match exactly
-        # (stored order groups vertices by ascending label within a level).
+        # transmissions by BFS; the per-level lists that the edge-step
+        # identity derives must match exactly (ascending label order).
         for k in range(1, 13):
             for tree in pool12[k]:
                 bfs = transmissions_bfs(adjacency_of(tree))
@@ -150,6 +159,18 @@ class TestPoolAgainstBfsOracle:
                     for i in range(tree.depth + 1)
                 ]
                 assert tuple(grouped) == tree.level_transmissions
+
+    def test_level_bitsets_equal_bfs_levels(self, pool12):
+        # Each stored level bitset is the set of BFS transmissions of the
+        # vertices on that level.
+        for k in range(1, 13):
+            for tree in pool12[k]:
+                bfs = transmissions_bfs(adjacency_of(tree))
+                level = levels_from_parents(tree)
+                expected = [set() for _ in tree.levels]
+                for v in range(tree.order):
+                    expected[level[v]].add(bfs[v])
+                assert level_sets(tree) == expected
 
     def test_edge_step_identity(self, pool12):
         # For every edge, the BFS transmissions of child and parent differ
@@ -170,8 +191,8 @@ class TestPoolAgainstBfsOracle:
         for k in range(1, 13):
             for tree in pool12[k]:
                 level = levels_from_parents(tree)
-                for i, values in enumerate(tree.level_transmissions):
-                    assert level.count(i) == len(values)
+                for i, bits in enumerate(tree.levels):
+                    assert level.count(i) == bits.bit_count()
 
     def test_validate_accepts_all_pool_trees(self, pool12):
         for k in range(1, 13):
@@ -181,11 +202,11 @@ class TestPoolAgainstBfsOracle:
 
 class TestValidateRejectsCorruption:
     def test_duplicate_in_level(self, spider7):
+        # A repeated value leaves its level with fewer bits than vertices.
         broken = spider7.__class__(
             order=spider7.order,
-            depth=spider7.depth,
             parents=spider7.parents,
-            level_transmissions=((10,), (15, 15, 11), (18, 14), (19,)),
+            levels=(1 << 10, 1 << 15 | 1 << 11, 1 << 18 | 1 << 14, 1 << 19),
         )
         with pytest.raises(ValueError):
             validate_wti_tree(broken)
@@ -193,16 +214,13 @@ class TestValidateRejectsCorruption:
     def test_parent_after_child(self, spider7):
         broken = spider7.__class__(
             order=spider7.order,
-            depth=spider7.depth,
             parents=(0, 2, 0, 2, 0, 4, 5),
-            level_transmissions=spider7.level_transmissions,
+            levels=spider7.levels,
         )
         with pytest.raises(ValueError):
             validate_wti_tree(broken)
 
     def test_transmission_out_of_bounds(self):
-        broken = SINGLE_VERTEX.__class__(
-            order=2, depth=1, parents=(0, 0), level_transmissions=((9,), (1,))
-        )
+        broken = SINGLE_VERTEX.__class__(order=2, parents=(0, 0), levels=(1 << 9, 1 << 1))
         with pytest.raises(ValueError):
             validate_wti_tree(broken)
