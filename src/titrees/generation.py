@@ -1,15 +1,15 @@
-"""Two-phase generation of transmission irregular (TI) trees.
+"""Generation of transmission irregular (TI) trees from a WTI pool.
 
 A tree is TI when all of its vertices have pairwise distinct
 transmissions.  Every TI tree has a canonical rooted form: root at the
 unique minimum-transmission vertex, children ordered by increasing
-subtree order.  Phase 1 builds the WTI pool up to half the target order
-and reports the pool trees that already are canonical TI forms.  Phase 2
-constructs the canonical forms of the larger orders directly: for order
-k the root's subtrees all have fewer than k/2 vertices, so they come
-from the pool, and each admissible multiset of subtree orders is an
-increasing sequence over which a cartesian product of pool entries is
-scanned.
+subtree order.  For order k the root's subtrees all have fewer than k/2
+vertices, so phase 1 only builds the WTI pool of the orders below half
+the target, the components.  Phase 2 constructs the canonical forms of
+every order from 3 up directly: each admissible multiset of root-subtree
+orders is an increasing sequence over which a cartesian product of
+component pools is scanned.  The single vertex, the only TI tree of
+order below 3, is reported before the scan.
 
 The phase-2 scan never materializes failing joins.  For a fixed joined
 order k, the transmission of any vertex of a candidate differs from the
@@ -35,19 +35,14 @@ from functools import reduce
 from operator import or_
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .enumeration import IncreasingSequence, generate_increasing, generate_wti_trees
-from .wti import WTITree, join_wti_trees
+from .enumeration import IncreasingSequence, WTIPool, generate_increasing, generate_wti_trees
+from .wti import SINGLE_VERTEX, WTITree, join_wti_trees
 
 __all__ = [
     "TICensus",
-    "SubtreePool",
-    "get_max_degree",
     "is_ti_tree",
     "generate_ti_trees",
 ]
-
-# Pool of degree-admissible join components, indexed by order like WTIPool.
-SubtreePool = list[list[WTITree]]
 
 TreeCallback = Callable[[WTITree], None]
 
@@ -80,20 +75,6 @@ class TICensus:
 
     def to_dict(self) -> dict[int, int]:
         return dict(self.items())
-
-
-def get_max_degree(tree: WTITree) -> tuple[int, int]:
-    """(maximum vertex degree, number of root children) of a WTI tree."""
-    child_count = [0] * tree.order
-    for x in range(1, tree.order):
-        child_count[tree.parents[x]] += 1
-    root_children = child_count[0]
-    max_degree = root_children
-    for v in range(1, tree.order):
-        degree = child_count[v] + 1
-        if degree > max_degree:
-            max_degree = degree
-    return max_degree, root_children
 
 
 def is_ti_tree(tree: WTITree) -> bool:
@@ -192,61 +173,54 @@ def _set_bits(x: int) -> Iterator[int]:
         x ^= low
 
 
-def _scan_sequences(
-    k: int,
-    sequences: Sequence[IncreasingSequence],
-    sliced: dict[int, SlicedPool],
-    func: TreeCallback | None,
-) -> int:
-    """Count (and optionally emit) the TI joins of order k.
+def _scan_sequence(k: int, pools: Sequence[SlicedPool], func: TreeCallback | None) -> int:
+    """Count (and optionally emit) the TI joins of order k over one sequence.
 
-    Candidates are scanned in sequence order, then in mixed-radix tuple
-    order with the last coordinate varying fastest.  The walk carries one
-    forbidden bitset per coordinate not yet chosen: choosing tree j ORs
-    ``columns[b]`` of each later pool into that pool's forbidden set, for
-    every offset b of tree j, so a tree is reachable exactly when its
-    mask is disjoint from the masks chosen before it.  The last
-    coordinate of a counting run costs one ``bit_count()``; emission
-    walks the allowed indices in increasing order, so trees arrive in
-    pool order.
+    ``pools`` holds the sliced pool of each part of the sequence.
+    Candidates are scanned in mixed-radix tuple order with the last
+    coordinate varying fastest.  The walk carries one forbidden bitset
+    per coordinate not yet chosen: choosing tree j ORs ``columns[b]`` of
+    each later pool into that pool's forbidden set, for every offset b of
+    tree j, so a tree is reachable exactly when its mask is disjoint from
+    the masks chosen before it.  The last coordinate of a counting run
+    costs one ``bit_count()``; emission walks the allowed indices in
+    increasing order, so trees arrive in pool order.
     """
+    if not all(pool.full for pool in pools):
+        return 0
     count = 0
-    for seq in sequences:
-        pools = [sliced[s] for s in seq]
-        if not all(pool.full for pool in pools):
-            continue
-        last = len(pools) - 1
-        chosen: list[WTITree | None] = [None] * len(pools)
+    last = len(pools) - 1
+    chosen: list[WTITree | None] = [None] * len(pools)
 
-        def walk(i: int, forbidden: list[int]) -> None:
-            nonlocal count
-            pool = pools[i]
-            allowed = pool.full & ~forbidden[0]
-            if i == last:
-                for j in _set_bits(allowed):
-                    count += 1
-                    chosen[i] = pool.trees[j]
-                    joined = join_wti_trees(chosen)
-                    if joined is None or not is_ti_tree(joined):
-                        raise RuntimeError(f"offset masks admitted a non-TI join of order {k}")
-                    func(joined)
-            elif i == last - 1 and func is None:
-                # A count needs only a popcount of the last coordinate, so
-                # it ends the walk here (sequences have at least 3 parts).
-                tail = pools[last]
-                column = tail.columns.__getitem__
-                for j in _set_bits(allowed):
-                    hit = reduce(or_, map(column, pool.offsets[j]), forbidden[1])
-                    count += (tail.full & ~hit).bit_count()
-            else:
-                later = list(zip(pools[i + 1 :], forbidden[1:]))
-                for j in _set_bits(allowed):
-                    bits = pool.offsets[j]
-                    chosen[i] = pool.trees[j]
-                    hits = [reduce(or_, map(p.columns.__getitem__, bits), f) for p, f in later]
-                    walk(i + 1, hits)
+    def walk(i: int, forbidden: list[int]) -> None:
+        nonlocal count
+        pool = pools[i]
+        allowed = pool.full & ~forbidden[0]
+        if i == last:
+            for j in _set_bits(allowed):
+                count += 1
+                chosen[i] = pool.trees[j]
+                joined = join_wti_trees(chosen)
+                if joined is None or not is_ti_tree(joined):
+                    raise RuntimeError(f"offset masks admitted a non-TI join of order {k}")
+                func(joined)
+        elif i == last - 1 and func is None:
+            # A count needs only a popcount of the last coordinate, so
+            # it ends the walk here (sequences have at least 3 parts).
+            tail = pools[last]
+            column = tail.columns.__getitem__
+            for j in _set_bits(allowed):
+                hit = reduce(or_, map(column, pool.offsets[j]), forbidden[1])
+                count += (tail.full & ~hit).bit_count()
+        else:
+            later = list(zip(pools[i + 1 :], forbidden[1:]))
+            for j in _set_bits(allowed):
+                bits = pool.offsets[j]
+                chosen[i] = pool.trees[j]
+                hits = [reduce(or_, map(p.columns.__getitem__, bits), f) for p, f in later]
+                walk(i + 1, hits)
 
-        walk(0, [0] * len(pools))
+    walk(0, [0] * len(pools))
     return count
 
 
@@ -267,37 +241,18 @@ def _phase2_sequences(k: int, max_children: int) -> list[IncreasingSequence]:
 # ----------------------------------------------------------------------
 
 
-def _build_subtree_pools(
-    n: int,
-    m_eff: int,
-    census: TICensus,
-    func: TreeCallback | None,
-) -> SubtreePool:
-    """Phase 1: filter the WTI pool, report small TI trees, keep components.
+def _build_subtree_pools(n: int, m_eff: int) -> WTIPool:
+    """Phase 1: the WTI components of the root subtrees, by order.
 
-    Every pool tree with maximum degree <= m_eff survives; survivors that
-    are canonical TI forms are reported, and survivors whose root has
-    strictly fewer than m_eff children are kept as phase-2 components
-    (one more edge will arrive at their root).
+    A root subtree of a TI tree of order k <= n has at most (n - 1) // 2
+    vertices.  Each of its vertices has at most m_eff - 1 children: the
+    subtree's root gains an edge to the new root, every other vertex has
+    one to its parent.
     """
-    half = max(1, n // 2)
-    pool = generate_wti_trees(half, max(1, m_eff))
-    subtrees: SubtreePool = [[] for _ in range(half + 1)]
-    for k in range(1, half + 1):
-        for tree in pool[k]:
-            max_degree, root_children = get_max_degree(tree)
-            if max_degree > m_eff:
-                continue
-            if is_ti_tree(tree):
-                census.counts[k] += 1
-                if func is not None:
-                    func(tree)
-            if root_children < m_eff:
-                subtrees[k].append(tree)
-    return subtrees
+    return generate_wti_trees(max(1, (n - 1) // 2), max(1, m_eff - 1))
 
 
-def _task_runner(subtrees: SubtreePool, func: TreeCallback | None) -> Callable[[Task], int]:
+def _task_runner(subtrees: WTIPool, func: TreeCallback | None) -> Callable[[Task], int]:
     """A function that scans one phase-2 (k, sequence) task and counts it.
 
     The sliced pools of the current order are cached by part size and
@@ -316,7 +271,7 @@ def _task_runner(subtrees: SubtreePool, func: TreeCallback | None) -> Callable[[
         for s in seq:
             if s not in sliced:
                 sliced[s] = _sliced_pool(subtrees[s], k)
-        return _scan_sequences(k, [seq], sliced, func)
+        return _scan_sequence(k, [sliced[s] for s in seq], func)
 
     return run
 
@@ -334,8 +289,8 @@ def generate_ti_trees(
     Each tree is produced exactly once, in canonical representation, and
     passed to ``func`` when given, or ``encoder(tree)`` is passed when an
     encoder is given; the returned census counts emitted trees per order.
-    ``m=None`` means unbounded degree.  Trees arrive in increasing
-    phase-1 order first, then by order, sequence and tuple for phase 2.
+    ``m=None`` means unbounded degree.  Trees arrive by order, then by
+    root-subtree order sequence, then by tuple of components.
 
     Phase 2 is a list of independent (order, sequence) tasks.  With
     ``workers == 1`` they run in this process; otherwise they run on a
@@ -355,12 +310,11 @@ def generate_ti_trees(
     m_eff = n - 1 if m is None else m
     census = TICensus.zeros(n)
     emit = func if func is None or encoder is None else lambda tree: func(encoder(tree))
-    subtrees = _build_subtree_pools(n, m_eff, census, emit)
-    tasks = [
-        (k, seq)
-        for k in range(max(1, n // 2) + 1, n + 1)
-        for seq in _phase2_sequences(k, m_eff)
-    ]
+    census.counts[1] = 1
+    if emit is not None:
+        emit(SINGLE_VERTEX)
+    subtrees = _build_subtree_pools(n, m_eff)
+    tasks = [(k, seq) for k in range(3, n + 1) for seq in _phase2_sequences(k, m_eff)]
     if workers == 1 or not tasks:
         run = _task_runner(subtrees, emit)
         for task in tasks:
@@ -400,7 +354,7 @@ _worker_run: Callable[[Task], int]
 _worker_lines: list[bytes] = []
 
 
-def _worker_init(subtrees: SubtreePool, encoder: Callable[[WTITree], bytes] | None) -> None:
+def _worker_init(subtrees: WTIPool, encoder: Callable[[WTITree], bytes] | None) -> None:
     global _worker_run
     # Ctrl-C is the parent's to handle; it stops the pool.
     signal.signal(signal.SIGINT, signal.SIG_IGN)

@@ -50,34 +50,8 @@ class WTITree:
     levels: tuple[int, ...]
 
     @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
-    @property
     def root_transmission(self) -> int:
         return self.levels[0].bit_length() - 1
-
-    @property
-    def level_transmissions(self) -> tuple[tuple[int, ...], ...]:
-        """The transmissions of each level, in ascending label order.
-
-        Derived from ``parents`` alone: the root's transmission is the
-        sum of the depths, and crossing the edge into the subtree of x
-        changes a transmission by order - 2 * size(x).
-        """
-        n, parents = self.order, self.parents
-        size = [1] * n
-        for x in range(n - 1, 0, -1):
-            size[parents[x]] += size[x]
-        level = [0] * n
-        for x in range(1, n):
-            level[x] = level[parents[x]] + 1
-        value = [sum(level)] * n
-        grouped: list[list[int]] = [[value[0]]] + [[] for _ in range(max(level))]
-        for x in range(1, n):
-            value[x] = value[parents[x]] + n - 2 * size[x]
-            grouped[level[x]].append(value[x])
-        return tuple(map(tuple, grouped))
 
 
 SINGLE_VERTEX = WTITree(order=1, parents=(0,), levels=(1,))

@@ -115,6 +115,42 @@ def decode_sparse6(data: bytes) -> tuple[int, list[Edge]]:
 # ----------------------------------------------------------------------
 
 
+def level_transmissions(tree: WTITree) -> tuple[tuple[int, ...], ...]:
+    """The transmissions of each level, in ascending label order.
+
+    Derived from ``parents`` alone: the root's transmission is the sum
+    of the depths, and crossing the edge into the subtree of x changes a
+    transmission by order - 2 * size(x).
+    """
+    n, parents = tree.order, tree.parents
+    size = [1] * n
+    for x in range(n - 1, 0, -1):
+        size[parents[x]] += size[x]
+    level = [0] * n
+    for x in range(1, n):
+        level[x] = level[parents[x]] + 1
+    value = [sum(level)] * n
+    grouped: list[list[int]] = [[value[0]]] + [[] for _ in range(max(level))]
+    for x in range(1, n):
+        value[x] = value[parents[x]] + n - 2 * size[x]
+        grouped[level[x]].append(value[x])
+    return tuple(map(tuple, grouped))
+
+
+def get_max_degree(tree: WTITree) -> tuple[int, int]:
+    """(maximum vertex degree, number of root children) of a WTI tree."""
+    child_count = [0] * tree.order
+    for x in range(1, tree.order):
+        child_count[tree.parents[x]] += 1
+    root_children = child_count[0]
+    max_degree = root_children
+    for v in range(1, tree.order):
+        degree = child_count[v] + 1
+        if degree > max_degree:
+            max_degree = degree
+    return max_degree, root_children
+
+
 def level_sets(tree: WTITree) -> list[set[int]]:
     """The transmissions of each level, read off the level bitsets."""
     return [{t for t in range(bits.bit_length()) if bits >> t & 1} for bits in tree.levels]

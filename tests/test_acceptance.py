@@ -14,7 +14,14 @@ import time
 from collections import Counter
 
 from conftest import adjacency_of, levels_from_parents, subtree_sizes_from_parents
-from support import decode_graph6, decode_sparse6, level_sets, prufer_to_edges, to_edge_list
+from support import (
+    decode_graph6,
+    decode_sparse6,
+    level_sets,
+    level_transmissions,
+    prufer_to_edges,
+    to_edge_list,
+)
 from titrees import (
     AdjacencyTree,
     canonical_form,
@@ -165,9 +172,9 @@ def test_criterion_6_incremental_arithmetic():
             level = levels_from_parents(tree)
             grouped = tuple(
                 tuple(bfs[v] for v in range(tree.order) if level[v] == i)
-                for i in range(tree.depth + 1)
+                for i in range(len(tree.levels))
             )
-            if grouped != tree.level_transmissions:
+            if grouped != level_transmissions(tree):
                 levels_ok = False
             if level_sets(tree) != [set(values) for values in grouped]:
                 levels_ok = False

@@ -207,8 +207,9 @@ class TestInterrupt:
         # SIGINT goes to the whole process group, as Ctrl-C in a terminal
         # does, about 1 s in.  With two workers it waits until the parent
         # runs the pool's manager thread, and half a second more for the
-        # workers to start, so that it lands in phase 2.
-        proc = start_cli("-c", "34", "--threads", threads, stdout=subprocess.DEVNULL, start_new_session=True)
+        # workers to start, so that it lands in phase 2.  The run itself
+        # takes about 3 s on 2 vCPUs, so the signal arrives mid-run.
+        proc = start_cli("-c", "36", "--threads", threads, stdout=subprocess.DEVNULL, start_new_session=True)
         time.sleep(1)
         if threads == "2":
             deadline = time.monotonic() + 20

@@ -17,6 +17,7 @@ from support import (
     chain_edges,
     decode_graph6,
     decode_sparse6,
+    level_transmissions,
     parent_array,
     star_edges,
     to_edge_list,
@@ -174,6 +175,6 @@ class TestParentList:
                 rebuilt = adjacency_of(tree)
                 bfs = transmissions_bfs(rebuilt)
                 level = levels_from_parents(tree)
-                for i, values in enumerate(tree.level_transmissions):
+                for i, values in enumerate(level_transmissions(tree)):
                     labels = [v for v in range(k) if level[v] == i]
                     assert tuple(bfs[v] for v in labels) == values

@@ -1,4 +1,4 @@
-"""Tests for the two-phase TI tree driver."""
+"""Tests for the TI tree driver: component pool, then the phase-2 scan."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 from conftest import adjacency_of
 from reference_join import reference_is_ti_tree, reference_join, reference_pool
 from reference_scan import _masked_collection, _scan_products
-from support import validate_wti_tree
+from support import get_max_degree, level_transmissions, validate_wti_tree
 from titrees import (
     canonical_form,
     generate_ti_trees,
@@ -17,12 +17,10 @@ from titrees import (
 )
 from titrees.enumeration import generate_increasing
 from titrees.generation import (
-    TICensus,
     _build_subtree_pools,
     _phase2_sequences,
-    _scan_sequences,
+    _scan_sequence,
     _sliced_pool,
-    get_max_degree,
     is_ti_tree,
 )
 from titrees.wti import SINGLE_VERTEX
@@ -157,13 +155,18 @@ def scan_per_sequence(n: int, m: int | None, emit: bool):
     """Run both phase-2 kernels on every (k, sequence) with k <= n.
 
     Yields ``((k, seq), new, ref)`` where ``new`` comes from the
-    bit-sliced kernel and ``ref`` from the seed kernel in
-    ``reference_scan.py`` on the pools of ``reference_phase1``: counts,
-    or the emitted parent tuples in order.
+    bit-sliced kernel on the package's component pool and ``ref`` from
+    the seed kernel in ``reference_scan.py`` on the pools of
+    ``reference_phase1``: counts, or the emitted parent tuples in order.
+    First checks that the two pools agree tree for tree, in order: the
+    package caps children at m - 1 where the reference filters by degree.
     """
     m_eff = n - 1 if m is None else m
-    subtrees = _build_subtree_pools(n, m_eff, TICensus.zeros(n), None)
+    subtrees = _build_subtree_pools(n, m_eff)
     _, ref_subtrees = reference_phase1(n, m_eff)
+    assert len(subtrees) == (n - 1) // 2 + 1
+    for s in range(1, len(subtrees)):
+        assert [t.parents for t in subtrees[s]] == [t.parents for t in ref_subtrees[s]]
     for k in range(1, n + 1):
         sequences = _phase2_sequences(k, m_eff)
         parts = {s for seq in sequences for s in seq}
@@ -173,13 +176,13 @@ def scan_per_sequence(n: int, m: int | None, emit: bool):
             if emit:
                 new: list = []
                 ref: list = []
-                _scan_sequences(k, [seq], sliced, lambda t: new.append(t.parents))
+                _scan_sequence(k, [sliced[s] for s in seq], lambda t: new.append(t.parents))
                 _scan_products(k, [seq], masked, lambda t: ref.append(t.parents))
                 yield (k, seq), new, ref
             else:
                 yield (
                     (k, seq),
-                    _scan_sequences(k, [seq], sliced, None),
+                    _scan_sequence(k, [sliced[s] for s in seq], None),
                     _scan_products(k, [seq], masked, None),
                 )
 
@@ -207,6 +210,28 @@ class TestRegressionPins:
         assert census[31] == 16_926_170
         assert census[32] == 1_368_434
 
+    # Regression pins, not published values: the bit-sliced kernel and the
+    # seed reference kernel (two-phase, degree-filtered pool) agree on them.
+    DEGREE_CAPPED_30 = {
+        3: {
+            1: 1, 7: 1, 9: 1, 11: 5, 13: 16, 15: 53, 16: 7, 17: 201, 18: 28,
+            19: 852, 20: 81, 21: 3_124, 22: 341, 23: 12_801, 24: 1_375,
+            25: 50_679, 26: 4_884, 27: 219_332, 28: 24_917, 29: 894_748,
+            30: 91_595,
+        },
+        4: {
+            1: 1, 7: 1, 9: 1, 11: 6, 13: 24, 14: 1, 15: 82, 16: 9, 17: 321,
+            18: 47, 19: 1_529, 20: 155, 21: 6_660, 22: 701, 23: 29_286,
+            24: 2_790, 25: 134_316, 26: 12_334, 27: 651_877, 28: 62_636,
+            29: 3_001_974, 30: 278_371,
+        },
+    }
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_degree_capped_census_through_30(self, m):
+        census = generate_ti_trees(30, m)
+        assert {k: v for k, v in census.items() if v} == self.DEGREE_CAPPED_30[m]
+
 
 class TestEmission:
     def test_trees_are_canonical_ti_forms(self):
@@ -214,7 +239,7 @@ class TestEmission:
         generate_ti_trees(14, None, seen.append)
         for tree in seen:
             assert is_ti_tree(tree)
-            values = [t for level in tree.level_transmissions for t in level]
+            values = [t for level in level_transmissions(tree) for t in level]
             assert min(values) == tree.root_transmission
             validate_wti_tree(tree)  # includes increasing child subtree orders
 

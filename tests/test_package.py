@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 from pathlib import Path
 
 import titrees
@@ -30,3 +32,13 @@ def test_all_is_the_library_surface_the_readme_documents():
     assert sorted(titrees.__all__) == LIBRARY
     assert all(f"`{name}`" in section or f"`{name}(" in section for name in LIBRARY)
     assert all(hasattr(titrees, name) for name in LIBRARY)
+
+
+def test_every_module_all_names_resolve():
+    modules = [titrees] + [
+        importlib.import_module(f"titrees.{info.name}") for info in pkgutil.iter_modules(titrees.__path__)
+    ]
+    assert len(modules) > 1
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names {missing}"

@@ -15,7 +15,7 @@ import pytest
 
 import titrees
 from conftest import adjacency_of, levels_from_parents, subtree_sizes_from_parents
-from support import level_sets, validate_wti_tree
+from support import level_sets, level_transmissions, validate_wti_tree
 from titrees import join_wti_trees, transmissions_bfs
 from titrees.wti import SINGLE_VERTEX
 
@@ -76,7 +76,7 @@ class TestLiftLevel:
     def test_preserves_order(self, spider7):
         # The children's vertices keep their join order: the derived
         # level-1 values list the legs of lengths 1, 2 and 3 in turn.
-        assert spider7.level_transmissions[1] == (15, 13, 11)
+        assert level_transmissions(spider7)[1] == (15, 13, 11)
         assert spider7.parents == (0, 0, 0, 2, 0, 4, 5)
 
 
@@ -86,16 +86,16 @@ class TestJoinWtiTrees:
         assert tree is not None
         assert tree.order == 2
         assert tree.levels == (1 << 1, 1 << 1)
-        assert tree.level_transmissions == ((1,), (1,))
+        assert level_transmissions(tree) == ((1,), (1,))
         assert tree.parents == (0, 0)
 
     def test_spider_7(self, spider7):
         # BFS-checked level lists of the legs-1,2,3 spider.
         assert spider7 is not None
         assert spider7.order == 7
-        assert spider7.depth == 3
+        assert len(spider7.levels) - 1 == 3
         assert level_sets(spider7) == [{10}, {15, 13, 11}, {18, 14}, {19}]
-        assert spider7.level_transmissions == ((10,), (15, 13, 11), (18, 14), (19,))
+        assert level_transmissions(spider7) == ((10,), (15, 13, 11), (18, 14), (19,))
         assert spider7.parents == (0, 0, 0, 2, 0, 4, 5)
 
     def test_cross_level_duplicates_allowed(self, spider8):
@@ -104,7 +104,7 @@ class TestJoinWtiTrees:
         assert spider8 is not None
         assert spider8.levels[0] == 1 << 14
         assert level_sets(spider8)[1] == {20, 18, 14}
-        assert spider8.level_transmissions[1] == (20, 18, 14)
+        assert level_transmissions(spider8)[1] == (20, 18, 14)
 
     def test_within_level_duplicate_fails(self, chains):
         # BFS-checked: both level-2 vertices closest to the join point end
@@ -140,7 +140,7 @@ class TestJoinWtiTrees:
         for k in (5, 8, 11):
             for tree in pool12[k][:20]:
                 assert sum(bits.bit_count() for bits in tree.levels) == tree.order
-                assert len(tree.levels) == tree.depth + 1 == max(levels_from_parents(tree)) + 1
+                assert len(tree.levels) == max(levels_from_parents(tree)) + 1
 
 
 class TestPoolAgainstBfsOracle:
@@ -156,9 +156,9 @@ class TestPoolAgainstBfsOracle:
                 level = levels_from_parents(tree)
                 grouped = [
                     tuple(bfs[v] for v in range(tree.order) if level[v] == i)
-                    for i in range(tree.depth + 1)
+                    for i in range(len(tree.levels))
                 ]
-                assert tuple(grouped) == tree.level_transmissions
+                assert tuple(grouped) == level_transmissions(tree)
 
     def test_level_bitsets_equal_bfs_levels(self, pool12):
         # Each stored level bitset is the set of BFS transmissions of the
