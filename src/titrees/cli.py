@@ -146,13 +146,12 @@ def _run_verify(n_max: int, m: int | None, out: BinaryIO) -> int:
 
 
 def _run(args: argparse.Namespace, out: BinaryIO) -> int:
-    mode = "verify" if args.verify_against_oracle else args.mode
     workers = 1 if args.deterministic else args.threads
 
-    if mode == "verify":
+    if args.mode == "verify":
         return _run_verify(args.n_max, args.m, out)
 
-    if mode == "count":
+    if args.mode == "count":
         census = generate_ti_trees(args.n_max, args.m, workers=workers)
         for order, count in census.items():
             out.write(f"{order} {count}\n".encode())
@@ -163,7 +162,7 @@ def _run(args: argparse.Namespace, out: BinaryIO) -> int:
         args.m,
         lambda line: out.write(line + b"\n"),
         workers=workers,
-        encoder=_ENCODERS[mode],
+        encoder=_ENCODERS[args.mode],
     )
     return EXIT_OK
 
@@ -181,8 +180,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(f"m must be >= 2, got {args.m}")
     if args.threads < 1:
         parser.error(f"--threads must be >= 1, got {args.threads}")
-    mode = "verify" if args.verify_against_oracle else args.mode
-    if mode == "verify" and args.n_max > MAX_ENUMERATION_ORDER:
+    if args.verify_against_oracle:
+        args.mode = "verify"
+    if args.mode == "verify" and args.n_max > MAX_ENUMERATION_ORDER:
         parser.error(f"verify mode is limited to n_max <= {MAX_ENUMERATION_ORDER}")
 
     try:

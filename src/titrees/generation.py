@@ -225,15 +225,12 @@ def _scan_sequence(k: int, pools: Sequence[SlicedPool], func: TreeCallback | Non
 
 
 def _phase2_sequences(k: int, max_children: int) -> list[IncreasingSequence]:
-    """Admissible root-subtree order sequences for a TI tree of order k.
+    """Admissible root-subtree order sequences for a TI tree of order k >= 3.
 
     Subtrees of the minimum-transmission root have fewer than k/2
     vertices each, hence the cap of ceil(k/2) - 1 on every part.
     """
-    beta = (k - 1) // 2
-    if beta < 1:
-        return []
-    return list(generate_increasing(k - 1, beta, max_children))
+    return list(generate_increasing(k - 1, (k - 1) // 2, max_children))
 
 
 # ----------------------------------------------------------------------
@@ -293,9 +290,10 @@ def generate_ti_trees(
     root-subtree order sequence, then by tuple of components.
 
     Phase 2 is a list of independent (order, sequence) tasks.  With
-    ``workers == 1`` they run in this process; otherwise they run on a
-    pool of worker processes (CPython threads would serialize on the
-    interpreter lock), which encode their trees and send the lines back.
+    ``workers == 1`` or a single task they run in this process; otherwise
+    they run on a pool of at most ``workers`` processes and no more than
+    one per task (CPython threads would serialize on the interpreter
+    lock), which encode their trees and send the lines back.
     The lines are passed on in task order, so the output is the same for
     any worker count; emitting from workers therefore needs an encoder.
     """
@@ -315,7 +313,10 @@ def generate_ti_trees(
         emit(SINGLE_VERTEX)
     subtrees = _build_subtree_pools(n, m_eff)
     tasks = [(k, seq) for k in range(3, n + 1) for seq in _phase2_sequences(k, m_eff)]
-    if workers == 1 or not tasks:
+    # A fork-based pool starts all its workers at the first task, so
+    # never ask for more workers than there are tasks.
+    workers = min(workers, len(tasks))
+    if workers <= 1:
         run = _task_runner(subtrees, emit)
         for task in tasks:
             census.counts[task[0]] += run(task)

@@ -3,9 +3,10 @@
 Everything in this module works on plain adjacency lists: free trees are
 enumerated by the classical level-sequence successor scheme, transmissions
 are computed by one breadth-first search per vertex, and isomorphism is
-decided through rooted canonical encodings.  None of the incremental
-transmission arithmetic used by the generator appears here, which is what
-makes agreement between the two paths meaningful evidence.
+decided through canonical encodings of the tree rooted at its
+minimum-transmission vertices, one or two adjacent ones.  None of the
+incremental transmission arithmetic used by the generator appears here,
+which is what makes agreement between the two paths meaningful evidence.
 """
 
 from __future__ import annotations
@@ -49,24 +50,9 @@ class AdjacencyTree:
             neighbors[u].append(v)
             neighbors[v].append(u)
         tree = cls(order, tuple(tuple(ns) for ns in neighbors))
-        if _reachable_count(tree, 0) != order:
+        if -1 in _distances(tree.adjacency, order, 0):
             raise ValueError("edge list is not connected")
         return tree
-
-
-def _reachable_count(tree: AdjacencyTree, start: int) -> int:
-    seen = bytearray(tree.order)
-    seen[start] = 1
-    queue = deque([start])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for w in tree.adjacency[v]:
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                queue.append(w)
-    return count
 
 
 # ----------------------------------------------------------------------
@@ -156,9 +142,6 @@ def enumerate_free_trees(n: int, emit: Callable[[AdjacencyTree], None]) -> None:
     if n == 1:
         emit(AdjacencyTree(1, ((),)))
         return
-    if n == 2:
-        emit(AdjacencyTree(2, ((1,), (0,))))
-        return
     # Start from the path rooted at its center, the largest valid sequence.
     layout: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while layout is not None:
@@ -173,10 +156,10 @@ def enumerate_free_trees(n: int, emit: Callable[[AdjacencyTree], None]) -> None:
 # ----------------------------------------------------------------------
 
 
-def _transmission_from(adjacency: Sequence[Sequence[int]], n: int, source: int) -> int:
+def _distances(adjacency: Sequence[Sequence[int]], n: int, source: int) -> list[int]:
+    """Breadth-first distances from ``source``; -1 for unreachable vertices."""
     dist = [-1] * n
     dist[source] = 0
-    total = 0
     queue = deque([source])
     while queue:
         v = queue.popleft()
@@ -184,61 +167,24 @@ def _transmission_from(adjacency: Sequence[Sequence[int]], n: int, source: int) 
         for w in adjacency[v]:
             if dist[w] < 0:
                 dist[w] = d
-                total += d
                 queue.append(w)
-    return total
+    return dist
 
 
 def transmissions_bfs(tree: AdjacencyTree) -> list[int]:
     """Transmission of every vertex, one breadth-first search per vertex."""
-    return [_transmission_from(tree.adjacency, tree.order, v) for v in range(tree.order)]
+    return [sum(_distances(tree.adjacency, tree.order, v)) for v in range(tree.order)]
 
 
 def is_ti_graph(tree: AdjacencyTree) -> bool:
     """True iff all vertex transmissions are pairwise distinct."""
     seen = set()
     for v in range(tree.order):
-        t = _transmission_from(tree.adjacency, tree.order, v)
+        t = sum(_distances(tree.adjacency, tree.order, v))
         if t in seen:
             return False
         seen.add(t)
     return True
-
-
-def _subtree_sizes(tree: AdjacencyTree, root: int) -> list[int]:
-    n = tree.order
-    order_stack = [root]
-    parent = [-1] * n
-    visit = []
-    while order_stack:
-        v = order_stack.pop()
-        visit.append(v)
-        for w in tree.adjacency[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order_stack.append(w)
-    size = [1] * n
-    for v in reversed(visit):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
-    return size
-
-
-def _centroids(tree: AdjacencyTree) -> list[int]:
-    n = tree.order
-    size = _subtree_sizes(tree, 0)
-    parent_side = [n - s for s in size]
-    best, centroids = n, []
-    for v in range(n):
-        heaviest = parent_side[v]
-        for w in tree.adjacency[v]:
-            if size[w] < size[v]:  # w is a child of v in the rooting at 0
-                heaviest = max(heaviest, size[w])
-        if heaviest < best:
-            best, centroids = heaviest, [v]
-        elif heaviest == best:
-            centroids.append(v)
-    return centroids
 
 
 def _rooted_encoding(tree: AdjacencyTree, root: int) -> bytes:
@@ -257,11 +203,11 @@ def _rooted_encoding(tree: AdjacencyTree, root: int) -> bytes:
 def canonical_form(tree: AdjacencyTree) -> bytes:
     """Byte string equal for two trees iff they are isomorphic.
 
-    TI trees are encoded rooted at their unique minimum-transmission
-    vertex; all other trees are encoded at the centroid (taking the
-    smaller encoding when there are two).
+    The tree is encoded rooted at its minimum-transmission vertices, one
+    or two adjacent ones, taking the smaller encoding when there are two.
+    In a tree these vertices are exactly the centroid (Zelinka, 1968):
+    for an edge vw, T(w) - T(v) = n - 2 * |w's side|.
     """
     tr = transmissions_bfs(tree)
-    if len(set(tr)) == tree.order:
-        return _rooted_encoding(tree, tr.index(min(tr)))
-    return min(_rooted_encoding(tree, c) for c in _centroids(tree))
+    low = min(tr)
+    return min(_rooted_encoding(tree, v) for v in range(tree.order) if tr[v] == low)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 
 import pytest
@@ -167,7 +168,7 @@ def scan_per_sequence(n: int, m: int | None, emit: bool):
     assert len(subtrees) == (n - 1) // 2 + 1
     for s in range(1, len(subtrees)):
         assert [t.parents for t in subtrees[s]] == [t.parents for t in ref_subtrees[s]]
-    for k in range(1, n + 1):
+    for k in range(3, n + 1):  # the phase-2 orders
         sequences = _phase2_sequences(k, m_eff)
         parts = {s for seq in sequences for s in seq}
         sliced = {s: _sliced_pool(subtrees[s], k) for s in parts}
@@ -289,15 +290,21 @@ class TestDegreeMonotonicity:
 class TestPhase2Sequences:
     def test_every_sequence_has_at_least_three_parts(self):
         # Strictly increasing parts below k/2 cannot reach k - 1 with two.
-        for k in range(2, 40):
+        for k in range(3, 40):
             for seq in _phase2_sequences(k, k - 1):
                 assert len(seq) >= 3
 
     def test_parts_stay_below_half(self):
-        for k in range(2, 40):
+        for k in range(3, 40):
             for seq in _phase2_sequences(k, k - 1):
                 assert sum(seq) == k - 1
                 assert all(2 * s < k for s in seq)
+
+    def test_orders_below_three_are_not_phase_2_orders(self):
+        # The driver counts the single vertex itself and asks from k = 3.
+        for k in (1, 2):
+            with pytest.raises(ValueError):
+                _phase2_sequences(k, 2)
 
 
 class TestParallel:
@@ -326,3 +333,32 @@ class TestParallel:
             generate_ti_trees(15, 3, workers=2).to_dict()
             == generate_ti_trees(15, 3).to_dict()
         )
+
+    def test_no_more_workers_than_tasks(self, monkeypatch):
+        # A fork-based pool starts every worker at the first task, so the
+        # pool must never be asked for more workers than there are tasks.
+        real = concurrent.futures.ProcessPoolExecutor
+        n = 11
+        tasks = sum(len(_phase2_sequences(k, n - 1)) for k in range(3, n + 1))
+        requested: list[int] = []
+
+        def capped_pool(*args, max_workers, **kwargs):
+            if max_workers > tasks:
+                raise AssertionError(f"{max_workers} workers for {tasks} tasks")
+            requested.append(max_workers)
+            return real(*args, max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", capped_pool)
+        assert generate_ti_trees(n, workers=64) == generate_ti_trees(n)
+        assert tasks == 6
+        assert requested == [6]
+
+    def test_a_single_task_runs_in_this_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        lines: list[bytes] = []
+        census = generate_ti_trees(8, None, lines.append, workers=8, encoder=parent_list_line)
+        assert census.to_dict() == {1: 1, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 1, 8: 0}
+        assert len(lines) == 2

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
 
 import titrees
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 LIBRARY = [
     "AdjacencyTree",
@@ -42,3 +44,17 @@ def test_every_module_all_names_resolve():
     for module in modules:
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ names {missing}"
+
+
+def test_no_module_relies_on_assert():
+    # ``python -O`` strips assert statements, so no check in the package
+    # may be one.
+    sources = sorted((ROOT / "src" / "titrees").rglob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements in the package: {found}"
