@@ -19,19 +19,26 @@ candidate is TI exactly when the chosen masks are pairwise disjoint.
 
 The disjointness test is bit-sliced, as in the vertical bitsets of
 bit-parallel clique search (San Segundo, Rodriguez-Losada and Jimenez,
-Computers & OR 38, 2011).  Each pool is transposed once per joined
-order: column b is an int bitset over pool indices whose mask has bit b.
-Choosing a tree ORs the columns of its offsets into a "forbidden" bitset
-of every later coordinate, so the trees still allowed at a coordinate
-are one big-int AND-NOT away, and the last coordinate is counted with
-``bit_count()`` instead of being tested tree by tree.
+Computers & OR 38, 2011).  Column b of a pool at joined order k is an
+int bitset over pool indices, with bit j set when tree j has a vertex at
+offset b.  A vertex's offset is a + m * k for a key (a, m) that does not
+depend on k, so each pool is keyed once per run, before any worker
+starts, and the columns of an order are one OR per key of the pool.
+Choosing a tree ORs its clash row against each later coordinate (the OR
+of that pool's columns at the tree's offsets, cached per order and pair
+of parts) into a "forbidden" bitset of the coordinate, so the trees
+still allowed at a coordinate are one big-int AND-NOT away, and the last
+coordinate is counted with ``bit_count()`` instead of being tested tree
+by tree.
 """
 
 from __future__ import annotations
 
 import signal
+from array import array
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import combinations
 from operator import or_
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -90,79 +97,133 @@ def is_ti_tree(tree: WTITree) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Phase-2 offset masks
+# Phase-2 tables
 # ----------------------------------------------------------------------
 
 
-def _offset_mask(tree: WTITree, joined_order: int) -> int | None:
-    """Bitmask of root-relative transmissions of ``tree`` under a join.
+class KeyTable(NamedTuple):
+    """The vertices of one component pool as keys that hold for every order.
 
-    When a pool tree of order c becomes a root subtree in a joined tree
-    of order ``joined_order``, the transmission of its level-l vertex
-    with within-tree value t exceeds the new root's transmission by
+    When a pool tree of order c and root transmission rt becomes a root
+    subtree of a joined tree of order k, the transmission of its level-l
+    vertex with within-tree value t exceeds the new root's by
 
-        t - root_transmission + (joined_order - 2c) + (joined_order - c) * l
+        t - rt + (k - 2c) + (k - c) * l  =  a + m * k,
 
-    independently of the sibling subtrees.  Bit o of the mask is set for
-    each such offset o, so the mask is the OR of the level bitsets, each
-    shifted by the offset of its level's value 0.  Returns None when the
-    tree can never take part in a TI join of this order: some offset is
-    <= 0 (a vertex would tie or undercut the root) or two of its own
-    vertices always collide.
-    """
-    c = tree.order
-    shift = joined_order - 2 * c - tree.root_transmission
-    step = joined_order - c
-    mask = 0
-    for bits in tree.levels:
-        if shift > 0:
-            mask |= bits << shift
-        elif bits & ((2 << -shift) - 1):  # a value t <= -shift
-            return None
-        else:
-            mask |= bits >> -shift
-        shift += step
-    if mask.bit_count() != c:
-        return None
-    return mask
-
-
-class SlicedPool(NamedTuple):
-    """The trees of one pool with a mask for one joined order, transposed.
-
-    ``trees`` keeps pool order and ``offsets[j]`` lists the set bits of
-    the mask of ``trees[j]``.  ``columns[b]`` has bit j set iff that mask
-    has bit b; it has one entry per possible offset, all below k * k for
-    joined order k (a vertex at level l < c of a tree of order c < k/2
-    has offset at most k - 2c + l(k - 2)).  ``full`` has a bit per tree.
+    with a = t - rt - 2c - c * l and m = l + 1, independently of the
+    sibling subtrees.  Neither a nor m depends on k, so the pool is keyed
+    once per run: ``keys`` lists the distinct (a, m) pairs of the pool,
+    ``members[q]`` has bit j set iff ``trees[j]`` has a vertex with key
+    ``keys[q]``, and ``tree_keys[c * j : c * j + c]`` holds the key
+    indices of ``trees[j]``, c being ``order``, the order of every tree
+    of the pool.  The vertices of one tree have distinct keys: on one
+    level the values t differ, and levels differ in m.  ``trees`` is None
+    in a run that only counts, which never reads a tree.
     """
 
-    trees: list[WTITree]
-    offsets: list[list[int]]
+    order: int
+    trees: list[WTITree] | None
+    keys: list[tuple[int, int]]
+    members: list[int]
+    tree_keys: array
+
+
+def _key_table(c: int, trees: list[WTITree]) -> KeyTable:
+    """Key the vertices of the component pool of order c (see ``KeyTable``)."""
+    keys: list[tuple[int, int]] = []
+    # The keys of level l have m = l + 1, so each level indexes its own by a.
+    index: list[dict[int, int]] = [{} for _ in range(c)]
+    # One byte buffer per key: ORing the bits into an int one by one
+    # would copy the whole bitset per vertex.
+    buffers: list[bytearray] = []
+    size = (len(trees) + 7) // 8
+    # Level l has at most 2l(c - 2) + 1 keys, as |t - rt| <= l(c - 2), so
+    # the indices fit in 16 bits for c <= 40, far past any pool that fits
+    # in memory; a larger one raises OverflowError.
+    tree_keys = array("H")
+    for j, tree in enumerate(trees):
+        a = -tree.root_transmission - 2 * c  # a key's a is this plus t
+        byte, bit = j >> 3, 1 << (j & 7)
+        for level, bits in enumerate(tree.levels):
+            at = index[level]
+            while bits:
+                low = bits & -bits
+                key = a + low.bit_length() - 1
+                q = at.get(key)
+                if q is None:
+                    q = at[key] = len(keys)
+                    keys.append((key, level + 1))
+                    buffers.append(bytearray(size))
+                buffers[q][byte] |= bit
+                tree_keys.append(q)
+                bits ^= low
+            a -= c
+    members = [int.from_bytes(buffer, "little") for buffer in buffers]
+    return KeyTable(c, trees, keys, members, tree_keys)
+
+
+class OrderPool(NamedTuple):
+    """A component pool transposed for one joined order k, from its key table.
+
+    ``offsets[q]`` is a + m * k for key q = (a, m).  ``columns[b]`` has
+    bit j set iff tree j of ``table`` has a vertex at offset b; it has one
+    entry per possible offset, all below k * k (a vertex at level l < c of
+    a tree of order c < k/2 has offset at most k - 2c + l(k - 2)).
+    ``full`` has bit j set iff tree j can take part in a TI join of order
+    k: all its offsets are positive (no vertex ties or undercuts the root)
+    and pairwise distinct.
+    """
+
+    table: KeyTable
+    offsets: list[int]
     columns: list[int]
     full: int
 
 
-def _sliced_pool(trees: Sequence[WTITree], joined_order: int) -> SlicedPool:
-    """Keep the trees with an offset mask and transpose their masks."""
-    kept: list[WTITree] = []
-    offsets: list[list[int]] = []
+def _order_pool(table: KeyTable, joined_order: int) -> OrderPool:
+    """Re-index a key table for one joined order: one OR per key."""
+    offsets = [a + m * joined_order for a, m in table.keys]
     columns = [0] * (joined_order * joined_order)
-    for tree in trees:
-        mask = _offset_mask(tree, joined_order)
-        if mask is None:
-            continue
-        index_bit = 1 << len(kept)
-        bits = []
-        while mask:
-            low = mask & -mask
-            b = low.bit_length() - 1
-            bits.append(b)
-            columns[b] |= index_bit
-            mask ^= low
-        kept.append(tree)
-        offsets.append(bits)
-    return SlicedPool(kept, offsets, columns, (1 << len(kept)) - 1)
+    invalid = 0
+    for b, members in zip(offsets, table.members):
+        if b <= 0:
+            invalid |= members
+        else:
+            # A tree already in the column has another vertex at offset b.
+            invalid |= columns[b] & members
+            columns[b] |= members
+    trees = len(table.tree_keys) // table.order
+    return OrderPool(table, offsets, columns, ((1 << trees) - 1) & ~invalid)
+
+
+class _ClashRows(dict):
+    """Clash rows of one pair of parts at one joined order; a pure cache.
+
+    Entry j is the OR of the later part's columns at the offsets of tree
+    j of the earlier part: the later trees that clash with tree j.  A
+    missing entry is computed on lookup, from ``key_columns`` (the later
+    part's column at the offset of each key of the earlier part), and is
+    stored only when ``keep`` is set, so what is cached never changes a
+    result.
+    """
+
+    __slots__ = ("key_columns", "tree_keys", "c", "keep")
+
+    def __init__(self, earlier: OrderPool, later: OrderPool) -> None:
+        super().__init__()
+        columns = later.columns
+        # A key at an offset <= 0 belongs only to trees that are never chosen.
+        self.key_columns = [columns[b] if b > 0 else 0 for b in earlier.offsets]
+        self.tree_keys = earlier.table.tree_keys
+        self.c = earlier.table.order
+        self.keep = True
+
+    def __missing__(self, j: int) -> int:
+        c = self.c
+        row = reduce(or_, map(self.key_columns.__getitem__, self.tree_keys[c * j : c * j + c]))
+        if self.keep:
+            self[j] = row
+        return row
 
 
 def _set_bits(x: int) -> Iterator[int]:
@@ -173,21 +234,25 @@ def _set_bits(x: int) -> Iterator[int]:
         x ^= low
 
 
-def _scan_sequence(k: int, pools: Sequence[SlicedPool], func: TreeCallback | None) -> int:
+def _scan_sequence(
+    k: int,
+    pools: Sequence[OrderPool],
+    clash: Sequence[Sequence[_ClashRows]],
+    func: TreeCallback | None,
+) -> int:
     """Count (and optionally emit) the TI joins of order k over one sequence.
 
-    ``pools`` holds the sliced pool of each part of the sequence.
-    Candidates are scanned in mixed-radix tuple order with the last
-    coordinate varying fastest.  The walk carries one forbidden bitset
-    per coordinate not yet chosen: choosing tree j ORs ``columns[b]`` of
-    each later pool into that pool's forbidden set, for every offset b of
-    tree j, so a tree is reachable exactly when its mask is disjoint from
-    the masks chosen before it.  The last coordinate of a counting run
-    costs one ``bit_count()``; emission walks the allowed indices in
-    increasing order, so trees arrive in pool order.
+    ``pools`` holds the order-k pool of each part of the sequence, none
+    of them empty, and ``clash[i][p - i - 1]`` the clash rows of part i
+    against part p > i.  Candidates are scanned in mixed-radix tuple
+    order with the last coordinate varying fastest.  The walk carries one
+    forbidden bitset per coordinate not yet chosen: choosing tree j ORs
+    its clash row against each later part into that part's forbidden
+    set, so a tree is reachable exactly when its offsets are disjoint
+    from those of the trees chosen before it.  The last coordinate of a
+    counting run costs one ``bit_count()``; emission walks the allowed
+    indices in increasing order, so trees arrive in pool order.
     """
-    if not all(pool.full for pool in pools):
-        return 0
     count = 0
     last = len(pools) - 1
     chosen: list[WTITree | None] = [None] * len(pools)
@@ -195,11 +260,12 @@ def _scan_sequence(k: int, pools: Sequence[SlicedPool], func: TreeCallback | Non
     def walk(i: int, forbidden: list[int]) -> None:
         nonlocal count
         pool = pools[i]
+        trees = pool.table.trees
         allowed = pool.full & ~forbidden[0]
         if i == last:
             for j in _set_bits(allowed):
                 count += 1
-                chosen[i] = pool.trees[j]
+                chosen[i] = trees[j]
                 joined = join_wti_trees(chosen)
                 if joined is None or not is_ti_tree(joined):
                     raise RuntimeError(f"offset masks admitted a non-TI join of order {k}")
@@ -207,18 +273,17 @@ def _scan_sequence(k: int, pools: Sequence[SlicedPool], func: TreeCallback | Non
         elif i == last - 1 and func is None:
             # A count needs only a popcount of the last coordinate, so
             # it ends the walk here (sequences have at least 3 parts).
-            tail = pools[last]
-            column = tail.columns.__getitem__
+            rows = clash[i][0]
+            tail = pools[last].full & ~forbidden[1]
+            size = tail.bit_count()
             for j in _set_bits(allowed):
-                hit = reduce(or_, map(column, pool.offsets[j]), forbidden[1])
-                count += (tail.full & ~hit).bit_count()
+                count += size - (tail & rows[j]).bit_count()
         else:
-            later = list(zip(pools[i + 1 :], forbidden[1:]))
+            later = list(zip(clash[i], forbidden[1:]))
             for j in _set_bits(allowed):
-                bits = pool.offsets[j]
-                chosen[i] = pool.trees[j]
-                hits = [reduce(or_, map(p.columns.__getitem__, bits), f) for p, f in later]
-                walk(i + 1, hits)
+                if func is not None:
+                    chosen[i] = trees[j]
+                walk(i + 1, [rows[j] | hit for rows, hit in later])
 
     walk(0, [0] * len(pools))
     return count
@@ -249,26 +314,57 @@ def _build_subtree_pools(n: int, m_eff: int) -> WTIPool:
     return generate_wti_trees(max(1, (n - 1) // 2), max(1, m_eff - 1))
 
 
-def _task_runner(subtrees: WTIPool, func: TreeCallback | None) -> Callable[[Task], int]:
+def _task_runner(
+    tables: dict[int, KeyTable], tasks: Sequence[Task], func: TreeCallback | None
+) -> Callable[[Task], int]:
     """A function that scans one phase-2 (k, sequence) task and counts it.
 
-    The sliced pools of the current order are cached by part size and
-    dropped when a task of another order arrives; tasks come in
-    increasing k, so each pool is sliced once per order.
+    ``tasks`` is the run's task list, in the order it is meant to run;
+    tasks must come in increasing k, and any subset of them may be run.
+    The order-k pools and clash rows are kept until a task of another
+    order arrives.  The rows of a pair of parts are dropped after the
+    last task of its order in ``tasks`` that uses the pair; in that task
+    a row is stored only where more than one prefix reaches its
+    coordinate, since no later node can read it otherwise.  The rows are
+    a pure cache: tasks run in another order, or elsewhere, only cost
+    recomputed rows, never a different count.
     """
-    sliced: dict[int, SlicedPool] = {}
+    last_use = {(task[0], pair): task for task in tasks for pair in combinations(task[1], 2)}
+    pools: dict[int, OrderPool] = {}
+    pairs: dict[tuple[int, int], _ClashRows] = {}
     order = 0
+
+    def clash_rows(pair: tuple[int, int], keep: bool) -> _ClashRows:
+        rows = pairs.get(pair)
+        if rows is None:
+            rows = pairs[pair] = _ClashRows(pools[pair[0]], pools[pair[1]])
+        rows.keep = keep
+        return rows
 
     def run(task: Task) -> int:
         nonlocal order
         k, seq = task
         if k != order:
-            sliced.clear()
+            pools.clear()
+            pairs.clear()
             order = k
         for s in seq:
-            if s not in sliced:
-                sliced[s] = _sliced_pool(subtrees[s], k)
-        return _scan_sequence(k, [sliced[s] for s in seq], func)
+            if s not in pools:
+                pools[s] = _order_pool(tables[s], k)
+        final = {pair for pair in combinations(seq, 2) if last_use.get((k, pair)) == task}
+        count = 0
+        if all(pools[s].full for s in seq):
+            clash = []
+            prefixes = 1
+            for i, s in enumerate(seq):
+                clash.append(
+                    [clash_rows((s, later), prefixes > 1 or (s, later) not in final) for later in seq[i + 1 :]]
+                )
+                prefixes *= pools[s].full.bit_count()
+            count = _scan_sequence(k, [pools[s] for s in seq], clash, func)
+        for pair in final:
+            pairs.pop(pair, None)
+        return count
 
     return run
 
@@ -312,12 +408,19 @@ def generate_ti_trees(
     if emit is not None:
         emit(SINGLE_VERTEX)
     subtrees = _build_subtree_pools(n, m_eff)
+    # Keyed here, before any worker starts, so no worker keys a pool again.
+    tables = {s: _key_table(s, subtrees[s]) for s in range(1, len(subtrees))}
+    if emit is None:
+        # A count reads only the keys: dropping the trees frees their
+        # memory for the clash rows.
+        tables = {s: table._replace(trees=None) for s, table in tables.items()}
+    del subtrees
     tasks = [(k, seq) for k in range(3, n + 1) for seq in _phase2_sequences(k, m_eff)]
     # A fork-based pool starts all its workers at the first task, so
     # never ask for more workers than there are tasks.
     workers = min(workers, len(tasks))
     if workers <= 1:
-        run = _task_runner(subtrees, emit)
+        run = _task_runner(tables, tasks, emit)
         for task in tasks:
             census.counts[task[0]] += run(task)
         return census
@@ -335,7 +438,7 @@ def generate_ti_trees(
         max_workers=workers,
         mp_context=ctx,
         initializer=_worker_init,
-        initargs=(subtrees, encoder if func is not None else None),
+        initargs=(tables, tasks, encoder if func is not None else None),
     )
     try:
         for (k, _), (count, lines) in zip(tasks, executor.map(_worker_task, tasks)):
@@ -355,12 +458,14 @@ _worker_run: Callable[[Task], int]
 _worker_lines: list[bytes] = []
 
 
-def _worker_init(subtrees: WTIPool, encoder: Callable[[WTITree], bytes] | None) -> None:
+def _worker_init(
+    tables: dict[int, KeyTable], tasks: list[Task], encoder: Callable[[WTITree], bytes] | None
+) -> None:
     global _worker_run
     # Ctrl-C is the parent's to handle; it stops the pool.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     emit = None if encoder is None else lambda tree: _worker_lines.append(encoder(tree))
-    _worker_run = _task_runner(subtrees, emit)
+    _worker_run = _task_runner(tables, tasks, emit)
 
 
 def _worker_task(task: Task) -> tuple[int, list[bytes]]:

@@ -1,16 +1,24 @@
-"""The seed phase-2 scan, kept as the reference for the bit-sliced kernel.
+"""The seed phase-2 scan and the per-order slicing, kept as references.
 
-One Python ``used & mask`` test per pool tree per scan node: slow, but
-plainly the pairwise-disjointness test the offset masks stand for.
-``tests/test_generation.py`` compares ``titrees.generation`` against it
-per (order, sequence) over counts, degree caps and emission order.  It
-scans pools of list-based trees with the list-based masks, join and TI
-test of ``reference_join.py``, not the package's bitset kernels.
+``_scan_products`` is the seed kernel: one Python ``used & mask`` test
+per pool tree per scan node, slow, but plainly the pairwise-disjointness
+test the offset masks stand for.  ``tests/test_generation.py`` compares
+``titrees.generation`` against it per (order, sequence) over counts,
+degree caps and emission order.  It scans pools of list-based trees with
+the list-based masks, join and TI test of ``reference_join.py``, not the
+package's bitset kernels.
+
+``_sliced_pool`` is the per-tree transposition that the package's key
+tables replaced: one offset mask per pool tree (``_offset_mask``, checked
+against the list-based mask in ``test_reference_join.py``) for every
+joined order, its bits ORed into the columns one by one.  The tests
+compare the columns and valid trees of ``titrees.generation._order_pool``
+with it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from reference_join import (
     ListTree,
@@ -19,6 +27,78 @@ from reference_join import (
     reference_offset_mask,
 )
 from titrees.enumeration import IncreasingSequence
+from titrees.wti import WTITree
+
+
+def _offset_mask(tree: WTITree, joined_order: int) -> int | None:
+    """Bitmask of root-relative transmissions of ``tree`` under a join.
+
+    When a pool tree of order c becomes a root subtree in a joined tree
+    of order ``joined_order``, the transmission of its level-l vertex
+    with within-tree value t exceeds the new root's transmission by
+
+        t - root_transmission + (joined_order - 2c) + (joined_order - c) * l
+
+    independently of the sibling subtrees.  Bit o of the mask is set for
+    each such offset o, so the mask is the OR of the level bitsets, each
+    shifted by the offset of its level's value 0.  Returns None when the
+    tree can never take part in a TI join of this order: some offset is
+    <= 0 (a vertex would tie or undercut the root) or two of its own
+    vertices always collide.
+    """
+    c = tree.order
+    shift = joined_order - 2 * c - tree.root_transmission
+    step = joined_order - c
+    mask = 0
+    for bits in tree.levels:
+        if shift > 0:
+            mask |= bits << shift
+        elif bits & ((2 << -shift) - 1):  # a value t <= -shift
+            return None
+        else:
+            mask |= bits >> -shift
+        shift += step
+    if mask.bit_count() != c:
+        return None
+    return mask
+
+
+class SlicedPool(NamedTuple):
+    """The trees of one pool with a mask for one joined order, transposed.
+
+    ``trees`` keeps pool order and ``offsets[j]`` lists the set bits of
+    the mask of ``trees[j]``.  ``columns[b]`` has bit j set iff that mask
+    has bit b; it has one entry per possible offset, all below k * k for
+    joined order k (a vertex at level l < c of a tree of order c < k/2
+    has offset at most k - 2c + l(k - 2)).  ``full`` has a bit per tree.
+    """
+
+    trees: list[WTITree]
+    offsets: list[list[int]]
+    columns: list[int]
+    full: int
+
+
+def _sliced_pool(trees: Sequence[WTITree], joined_order: int) -> SlicedPool:
+    """Keep the trees with an offset mask and transpose their masks."""
+    kept: list[WTITree] = []
+    offsets: list[list[int]] = []
+    columns = [0] * (joined_order * joined_order)
+    for tree in trees:
+        mask = _offset_mask(tree, joined_order)
+        if mask is None:
+            continue
+        index_bit = 1 << len(kept)
+        bits = []
+        while mask:
+            low = mask & -mask
+            b = low.bit_length() - 1
+            bits.append(b)
+            columns[b] |= index_bit
+            mask ^= low
+        kept.append(tree)
+        offsets.append(bits)
+    return SlicedPool(kept, offsets, columns, (1 << len(kept)) - 1)
 
 
 MaskedPool = list[tuple[int, ListTree]]

@@ -6,7 +6,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -179,15 +178,6 @@ def start_cli(*argv, **kwargs):
     )
 
 
-def thread_count(pid):
-    """Threads of a running process, from /proc; None where /proc has no entry."""
-    try:
-        status = Path(f"/proc/{pid}/status").read_text()
-    except OSError:
-        return None
-    return int(next(line.split()[1] for line in status.splitlines() if line.startswith("Threads:")))
-
-
 class TestClosedPipe:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_reader_closing_early_is_a_quiet_success(self, threads):
@@ -205,18 +195,20 @@ class TestInterrupt:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_ctrl_c_is_a_quiet_exit_130(self, threads):
         # SIGINT goes to the whole process group, as Ctrl-C in a terminal
-        # does, about 1 s in.  With two workers it waits until the parent
-        # runs the pool's manager thread, and half a second more for the
-        # workers to start, so that it lands in phase 2.  The run itself
-        # takes about 3 s on 2 vCPUs, so the signal arrives mid-run.
-        proc = start_cli("-c", "36", "--threads", threads, stdout=subprocess.DEVNULL, start_new_session=True)
-        time.sleep(1)
-        if threads == "2":
-            deadline = time.monotonic() + 20
-            while thread_count(proc.pid) == 1 and time.monotonic() < deadline:
-                time.sleep(0.05)
-            time.sleep(0.5)
-        os.killpg(proc.pid, signal.SIGINT)
-        _, err = proc.communicate(timeout=30)
+        # does, once output beyond the single vertex's one-byte line has
+        # arrived.  The rest comes from the phase-2 scan, so the signal
+        # lands mid-scan however fast the run is; -p 32 prints millions of
+        # lines and would run for minutes.
+        proc = start_cli("-p", "32", "--threads", threads, stdout=subprocess.PIPE, start_new_session=True)
+        try:
+            received = b""
+            while len(received) < 2:
+                chunk = proc.stdout.read1()
+                assert chunk, "the run ended before its phase-2 output"
+                received += chunk
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
         assert proc.returncode == 130
         assert err == b""

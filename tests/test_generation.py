@@ -4,24 +4,29 @@ from __future__ import annotations
 
 import concurrent.futures
 import itertools
+import os
+import random
 
 import pytest
 
 from conftest import adjacency_of
 from reference_join import reference_is_ti_tree, reference_join, reference_pool
-from reference_scan import _masked_collection, _scan_products
+from reference_scan import _masked_collection, _scan_products, _sliced_pool
 from support import get_max_degree, level_transmissions, validate_wti_tree
 from titrees import (
     canonical_form,
     generate_ti_trees,
+    generation,
     parent_list_line,
 )
 from titrees.enumeration import generate_increasing
 from titrees.generation import (
     _build_subtree_pools,
+    _key_table,
+    _order_pool,
     _phase2_sequences,
-    _scan_sequence,
-    _sliced_pool,
+    _set_bits,
+    _task_runner,
     is_ti_tree,
 )
 from titrees.wti import SINGLE_VERTEX
@@ -152,15 +157,24 @@ class TestAgainstReferencePath:
         assert emitted == emitted_ref  # same trees in the same order
 
 
-def scan_per_sequence(n: int, m: int | None, emit: bool):
+def phase2_tasks(n: int, m_eff: int) -> list:
+    """The (order, sequence) tasks of a run, in the order a run takes them."""
+    return [(k, seq) for k in range(3, n + 1) for seq in _phase2_sequences(k, m_eff)]
+
+
+def scan_per_sequence(n: int, m: int | None, emit: bool, rng: random.Random | None = None):
     """Run both phase-2 kernels on every (k, sequence) with k <= n.
 
-    Yields ``((k, seq), new, ref)`` where ``new`` comes from the
-    bit-sliced kernel on the package's component pool and ``ref`` from
-    the seed kernel in ``reference_scan.py`` on the pools of
-    ``reference_phase1``: counts, or the emitted parent tuples in order.
-    First checks that the two pools agree tree for tree, in order: the
-    package caps children at m - 1 where the reference filters by degree.
+    Yields ``((k, seq), new, ref)`` where ``new`` comes from the package's
+    task runner on its key tables and ``ref`` from the seed kernel in
+    ``reference_scan.py`` on the pools of ``reference_phase1``: counts,
+    or the emitted parent tuples in order.  One runner takes every task,
+    as in a run, so the clash rows one sequence caches serve the later
+    sequences of its order.  With ``rng`` the tasks of each order run in
+    a shuffled order that the runner was not told about, as the tasks of
+    a worker are.  First checks that the two pools agree tree for tree,
+    in order: the package caps children at m - 1 where the reference
+    filters by degree.
     """
     m_eff = n - 1 if m is None else m
     subtrees = _build_subtree_pools(n, m_eff)
@@ -168,24 +182,29 @@ def scan_per_sequence(n: int, m: int | None, emit: bool):
     assert len(subtrees) == (n - 1) // 2 + 1
     for s in range(1, len(subtrees)):
         assert [t.parents for t in subtrees[s]] == [t.parents for t in ref_subtrees[s]]
-    for k in range(3, n + 1):  # the phase-2 orders
-        sequences = _phase2_sequences(k, m_eff)
-        parts = {s for seq in sequences for s in seq}
-        sliced = {s: _sliced_pool(subtrees[s], k) for s in parts}
-        masked = {s: _masked_collection(ref_subtrees[s], k) for s in parts}
-        for seq in sequences:
-            if emit:
-                new: list = []
-                ref: list = []
-                _scan_sequence(k, [sliced[s] for s in seq], lambda t: new.append(t.parents))
-                _scan_products(k, [seq], masked, lambda t: ref.append(t.parents))
-                yield (k, seq), new, ref
-            else:
-                yield (
-                    (k, seq),
-                    _scan_sequence(k, [sliced[s] for s in seq], None),
-                    _scan_products(k, [seq], masked, None),
-                )
+    tables = {s: _key_table(s, subtrees[s]) for s in range(1, len(subtrees))}
+    tasks = phase2_tasks(n, m_eff)
+    emitted: list = []
+    run = _task_runner(tables, tasks, (lambda t: emitted.append(t.parents)) if emit else None)
+    if rng is not None:
+        tasks = sorted(tasks, key=lambda task: (task[0], rng.random()))
+    masked: dict = {}
+    masked_order = 0
+    for k, seq in tasks:
+        if k != masked_order:
+            masked, masked_order = {}, k
+        for s in seq:
+            if s not in masked:
+                masked[s] = _masked_collection(ref_subtrees[s], k)
+        emitted.clear()
+        count = run((k, seq))
+        if emit:
+            ref: list = []
+            _scan_products(k, [seq], masked, lambda t: ref.append(t.parents))
+            assert count == len(emitted)
+            yield (k, seq), list(emitted), ref
+        else:
+            yield (k, seq), count, _scan_products(k, [seq], masked, None)
 
 
 class TestBitSlicedScanAgainstReference:
@@ -202,6 +221,66 @@ class TestBitSlicedScanAgainstReference:
         assert {key: new for key, new, _ in results} == {key: ref for key, _, ref in results}
         assert any(new for _, new, _ in results)
 
+    @pytest.mark.parametrize("m", [None, 3])
+    def test_shuffled_tasks_within_each_order(self, m):
+        # The clash rows are a pure cache.  Tasks run in an order the
+        # runner did not plan for make it drop rows too early or store
+        # rows no later task reads; that only costs recomputation.
+        results = list(scan_per_sequence(26, m, emit=False, rng=random.Random(26)))
+        keys = [key for key, _, _ in results]
+        assert keys != phase2_tasks(26, 25 if m is None else m)
+        assert {key: new for key, new, _ in results} == {key: ref for key, _, ref in results}
+
+
+class TestKeyTablesAgainstSlicing:
+    @pytest.mark.parametrize("m", [None, 2, 3, 4])
+    def test_columns_and_valid_trees_through_26(self, m):
+        # Every component order s of a run to 26 at every joined order up
+        # to 26, not only the phase-2 orders k > 2s: at k <= 2s offsets
+        # <= 0 make trees invalid too.
+        n = 26
+        subtrees = _build_subtree_pools(n, n - 1 if m is None else m)
+        invalid_seen = False
+        for s in range(1, len(subtrees)):
+            table = _key_table(s, subtrees[s])
+            for k in range(s + 1, n + 1):
+                ref = _sliced_pool(subtrees[s], k)
+                new = _order_pool(table, k)
+                valid = list(_set_bits(new.full))
+                assert [subtrees[s][j] for j in valid] == ref.trees, (s, k)
+                invalid_seen |= len(valid) < len(subtrees[s])
+                # The reference's columns, re-indexed from kept trees to
+                # pool indices.
+                columns = [0] * (k * k)
+                for j, bits in zip(valid, ref.offsets):
+                    assert sorted(new.offsets[q] for q in table.tree_keys[s * j : s * j + s]) == bits
+                    for b in bits:
+                        columns[b] |= 1 << j
+                assert [column & new.full for column in new.columns] == columns, (s, k)
+        assert invalid_seen
+
+
+class TestKeyTablesBuiltOnce:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_build_per_component_order_in_the_parent(self, workers, monkeypatch, tmp_path):
+        # Each build appends its process id to a file, which forked
+        # workers would append to as well.
+        n = 16
+        expected = generate_ti_trees(n).to_dict()
+        log = tmp_path / "builds"
+        real = generation._key_table
+
+        def counted(c, trees):
+            with log.open("a") as out:
+                out.write(f"{os.getpid()} {c}\n")
+            return real(c, trees)
+
+        monkeypatch.setattr(generation, "_key_table", counted)
+        assert generate_ti_trees(n, workers=workers).to_dict() == expected
+        parent = str(os.getpid())
+        builds = [line.split() for line in log.read_text().splitlines()]
+        assert builds == [[parent, str(c)] for c in range(1, (n - 1) // 2 + 1)]
+
 
 class TestRegressionPins:
     def test_orders_31_and_32(self):
@@ -210,6 +289,12 @@ class TestRegressionPins:
         census = generate_ti_trees(32)
         assert census[31] == 16_926_170
         assert census[32] == 1_368_434
+
+    def test_orders_33_to_36(self):
+        # Regression pins, not published values: a serial run, a two-worker
+        # run and the seed reference kernel all gave them.
+        census = generate_ti_trees(36)
+        assert [census[k] for k in range(33, 37)] == [83_965_665, 7_612_216, 409_768_230, 33_750_452]
 
     # Regression pins, not published values: the bit-sliced kernel and the
     # seed reference kernel (two-phase, degree-filtered pool) agree on them.

@@ -1,7 +1,7 @@
 """Differential tests: the bitset kernels against the list-based reference.
 
 ``titrees.wti.join_wti_trees``, ``titrees.generation.is_ti_tree`` and
-``titrees.generation._offset_mask`` work on one int bitset per level;
+``reference_scan._offset_mask`` work on one int bitset per level;
 ``reference_join.py`` keeps the seed kernels, which work value by value
 on per-level lists.  Both pools are grown side by side here, join by
 join, so every attempted join of the pool through order 13 is compared.
@@ -19,10 +19,11 @@ from reference_join import (
     reference_join,
     reference_offset_mask,
 )
+from reference_scan import _offset_mask
 from support import level_sets
 from titrees import generate_wti_trees, join_wti_trees
 from titrees.enumeration import generate_increasing
-from titrees.generation import _offset_mask, is_ti_tree
+from titrees.generation import is_ti_tree
 from titrees.wti import SINGLE_VERTEX
 
 MAX_POOL_ORDER = 13
