@@ -90,7 +90,9 @@ def _build_parser() -> _Parser:
     parser.add_argument(
         "--threads",
         type=int,
-        default=os.cpu_count() or 1,
+        # The CPUs this process may run on, which an affinity mask can
+        # make fewer than the machine has.
+        default=len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
         help="worker processes for phase 2 (default: available parallelism)",
     )
     parser.add_argument(

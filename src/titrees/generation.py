@@ -30,6 +30,12 @@ of parts) into a "forbidden" bitset of the coordinate, so the trees
 still allowed at a coordinate are one big-int AND-NOT away, and the last
 coordinate is counted with ``bit_count()`` instead of being tested tree
 by tree.
+
+A call of ``_scan_order`` scans a list of sequences of one order, and its
+pools and clash rows live only as long as the call.  A serial run makes
+one call per order.  A parallel run gives each worker task one order's
+maximal run of sequences with equal first two parts, the sequences that
+share the most rows.
 """
 
 from __future__ import annotations
@@ -37,8 +43,9 @@ from __future__ import annotations
 import signal
 from array import array
 from dataclasses import dataclass, field
+from collections import deque
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, groupby, islice
 from operator import or_
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -53,8 +60,9 @@ __all__ = [
 
 TreeCallback = Callable[[WTITree], None]
 
-# One phase-2 task: a joined order and its root-subtree order sequence.
-Task = tuple[int, IncreasingSequence]
+# One parallel phase-2 task: a joined order and a maximal run of its
+# root-subtree order sequences with equal first two parts.
+Task = tuple[int, list[IncreasingSequence]]
 
 
 @dataclass
@@ -314,59 +322,41 @@ def _build_subtree_pools(n: int, m_eff: int) -> WTIPool:
     return generate_wti_trees(max(1, (n - 1) // 2), max(1, m_eff - 1))
 
 
-def _task_runner(
-    tables: dict[int, KeyTable], tasks: Sequence[Task], func: TreeCallback | None
-) -> Callable[[Task], int]:
-    """A function that scans one phase-2 (k, sequence) task and counts it.
+def _scan_order(
+    tables: dict[int, KeyTable], k: int, sequences: Sequence[IncreasingSequence], func: TreeCallback | None
+) -> int:
+    """Count (and optionally emit) the TI joins of order k over ``sequences``.
 
-    ``tasks`` is the run's task list, in the order it is meant to run;
-    tasks must come in increasing k, and any subset of them may be run.
-    The order-k pools and clash rows are kept until a task of another
-    order arrives.  The rows of a pair of parts are dropped after the
-    last task of its order in ``tasks`` that uses the pair; in that task
-    a row is stored only where more than one prefix reaches its
-    coordinate, since no later node can read it otherwise.  The rows are
-    a pure cache: tasks run in another order, or elsewhere, only cost
-    recomputed rows, never a different count.
+    The sequences are scanned in the given order and share the order-k
+    pools and the clash rows of each pair of parts; all of it is local to
+    the call.  The rows of a pair are dropped after the last sequence
+    that uses it, and in that sequence a row is stored only where more
+    than one prefix reaches its coordinate, since no later node can read
+    it otherwise.  The rows are a pure cache: any list of sequences of
+    order k, in any order, gives the sum of their counts.
     """
-    last_use = {(task[0], pair): task for task in tasks for pair in combinations(task[1], 2)}
-    pools: dict[int, OrderPool] = {}
+    pools = {s: _order_pool(tables[s], k) for s in {s for seq in sequences for s in seq}}
+    last_use = {pair: i for i, seq in enumerate(sequences) for pair in combinations(seq, 2)}
     pairs: dict[tuple[int, int], _ClashRows] = {}
-    order = 0
-
-    def clash_rows(pair: tuple[int, int], keep: bool) -> _ClashRows:
-        rows = pairs.get(pair)
-        if rows is None:
-            rows = pairs[pair] = _ClashRows(pools[pair[0]], pools[pair[1]])
-        rows.keep = keep
-        return rows
-
-    def run(task: Task) -> int:
-        nonlocal order
-        k, seq = task
-        if k != order:
-            pools.clear()
-            pairs.clear()
-            order = k
-        for s in seq:
-            if s not in pools:
-                pools[s] = _order_pool(tables[s], k)
-        final = {pair for pair in combinations(seq, 2) if last_use.get((k, pair)) == task}
-        count = 0
+    count = 0
+    for i, seq in enumerate(sequences):
+        final = {pair for pair in combinations(seq, 2) if last_use[pair] == i}
         if all(pools[s].full for s in seq):
             clash = []
             prefixes = 1
-            for i, s in enumerate(seq):
-                clash.append(
-                    [clash_rows((s, later), prefixes > 1 or (s, later) not in final) for later in seq[i + 1 :]]
-                )
+            for p, s in enumerate(seq):
+                clash.append([])
+                for later in seq[p + 1 :]:
+                    rows = pairs.get((s, later))
+                    if rows is None:
+                        rows = pairs[s, later] = _ClashRows(pools[s], pools[later])
+                    rows.keep = prefixes > 1 or (s, later) not in final
+                    clash[p].append(rows)
                 prefixes *= pools[s].full.bit_count()
-            count = _scan_sequence(k, [pools[s] for s in seq], clash, func)
+            count += _scan_sequence(k, [pools[s] for s in seq], clash, func)
         for pair in final:
             pairs.pop(pair, None)
-        return count
-
-    return run
+    return count
 
 
 def generate_ti_trees(
@@ -385,13 +375,17 @@ def generate_ti_trees(
     ``m=None`` means unbounded degree.  Trees arrive by order, then by
     root-subtree order sequence, then by tuple of components.
 
-    Phase 2 is a list of independent (order, sequence) tasks.  With
-    ``workers == 1`` or a single task they run in this process; otherwise
-    they run on a pool of at most ``workers`` processes and no more than
-    one per task (CPython threads would serialize on the interpreter
-    lock), which encode their trees and send the lines back.
-    The lines are passed on in task order, so the output is the same for
-    any worker count; emitting from workers therefore needs an encoder.
+    Phase 2 scans each order's sequences with ``_scan_order``: with
+    ``workers == 1`` or a single task, in this process, one call per
+    order.  Otherwise each task is one order's maximal run of sequences
+    with equal first two parts, which share those parts' clash rows, and
+    the tasks run on a pool of at most ``workers`` processes and no more
+    than one per task (CPython threads would serialize on the interpreter
+    lock), which encode their trees and send the lines back.  At most two
+    tasks per worker are submitted and not yet passed on, so a slow
+    reader holds back the workers rather than filling memory.  The lines
+    are passed on in task order, so the output is the same for any worker
+    count; emitting from workers therefore needs an encoder.
     """
     if n < 1:
         raise ValueError(f"order bound must be >= 1, got {n}")
@@ -415,14 +409,14 @@ def generate_ti_trees(
         # memory for the clash rows.
         tables = {s: table._replace(trees=None) for s, table in tables.items()}
     del subtrees
-    tasks = [(k, seq) for k in range(3, n + 1) for seq in _phase2_sequences(k, m_eff)]
+    orders = [(k, _phase2_sequences(k, m_eff)) for k in range(3, n + 1)]
+    tasks = [(k, list(run)) for k, sequences in orders for _, run in groupby(sequences, key=lambda s: s[:2])]
     # A fork-based pool starts all its workers at the first task, so
     # never ask for more workers than there are tasks.
     workers = min(workers, len(tasks))
     if workers <= 1:
-        run = _task_runner(tables, tasks, emit)
-        for task in tasks:
-            census.counts[task[0]] += run(task)
+        for k, sequences in orders:
+            census.counts[k] += _scan_order(tables, k, sequences, emit)
         return census
 
     # Imported here: the process pool adds about 20 ms to the start-up
@@ -438,10 +432,14 @@ def generate_ti_trees(
         max_workers=workers,
         mp_context=ctx,
         initializer=_worker_init,
-        initargs=(tables, tasks, encoder if func is not None else None),
+        initargs=(tables, encoder if func is not None else None),
     )
     try:
-        for (k, _), (count, lines) in zip(tasks, executor.map(_worker_task, tasks)):
+        submitted = (executor.submit(_worker_task, task) for task in tasks)
+        window = deque(islice(submitted, 2 * workers))
+        for k, _ in tasks:
+            count, lines = window.popleft().result()
+            window.extend(islice(submitted, 1))
             census.counts[k] += count
             for line in lines:
                 func(line)
@@ -452,23 +450,20 @@ def generate_ti_trees(
     return census
 
 
-# Set in each worker process: the task runner, by the initializer, and the
-# lines that the task at hand has emitted, by the task.
-_worker_run: Callable[[Task], int]
-_worker_lines: list[bytes] = []
+# Set in each worker process by the initializer.
+_worker_tables: dict[int, KeyTable]
+_worker_encoder: Callable[[WTITree], bytes] | None
 
 
-def _worker_init(
-    tables: dict[int, KeyTable], tasks: list[Task], encoder: Callable[[WTITree], bytes] | None
-) -> None:
-    global _worker_run
+def _worker_init(tables: dict[int, KeyTable], encoder: Callable[[WTITree], bytes] | None) -> None:
+    global _worker_tables, _worker_encoder
     # Ctrl-C is the parent's to handle; it stops the pool.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    emit = None if encoder is None else lambda tree: _worker_lines.append(encoder(tree))
-    _worker_run = _task_runner(tables, tasks, emit)
+    _worker_tables, _worker_encoder = tables, encoder
 
 
 def _worker_task(task: Task) -> tuple[int, list[bytes]]:
-    global _worker_lines
-    _worker_lines = []
-    return _worker_run(task), _worker_lines
+    k, sequences = task
+    lines: list[bytes] = []
+    emit = None if _worker_encoder is None else lambda tree: lines.append(_worker_encoder(tree))
+    return _scan_order(_worker_tables, k, sequences, emit), lines

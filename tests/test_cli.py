@@ -89,6 +89,11 @@ class TestDeterminismAndParallel:
         _, serial = run_cli(capsysbinary, "-c", "16", "--deterministic")
         assert parallel == serial
 
+    def test_default_threads_follow_the_affinity_mask(self, monkeypatch):
+        # A process allowed on one CPU of a larger machine gets one worker.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli._build_parser().parse_args(["count", "5"]).threads == 1
+
 
 class TestVerifyMode:
     def test_agreement_through_10(self, capsysbinary):

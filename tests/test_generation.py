@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import itertools
 import os
@@ -25,8 +26,8 @@ from titrees.generation import (
     _key_table,
     _order_pool,
     _phase2_sequences,
+    _scan_order,
     _set_bits,
-    _task_runner,
     is_ti_tree,
 )
 from titrees.wti import SINGLE_VERTEX
@@ -157,24 +158,29 @@ class TestAgainstReferencePath:
         assert emitted == emitted_ref  # same trees in the same order
 
 
-def phase2_tasks(n: int, m_eff: int) -> list:
-    """The (order, sequence) tasks of a run, in the order a run takes them."""
-    return [(k, seq) for k in range(3, n + 1) for seq in _phase2_sequences(k, m_eff)]
+def collect(scan, emit: bool):
+    """``scan(func)``'s count, or with ``emit`` the parent tuples it emits, in order."""
+    if not emit:
+        return scan(None)
+    emitted: list = []
+    count = scan(lambda t: emitted.append(t.parents))
+    assert count == len(emitted)
+    return emitted
 
 
-def scan_per_sequence(n: int, m: int | None, emit: bool, rng: random.Random | None = None):
-    """Run both phase-2 kernels on every (k, sequence) with k <= n.
+def scan_against_reference(n: int, m: int | None, emit: bool, rng: random.Random | None = None):
+    """Run both phase-2 kernels on every order k <= n.
 
-    Yields ``((k, seq), new, ref)`` where ``new`` comes from the package's
-    task runner on its key tables and ``ref`` from the seed kernel in
-    ``reference_scan.py`` on the pools of ``reference_phase1``: counts,
-    or the emitted parent tuples in order.  One runner takes every task,
-    as in a run, so the clash rows one sequence caches serve the later
-    sequences of its order.  With ``rng`` the tasks of each order run in
-    a shuffled order that the runner was not told about, as the tasks of
-    a worker are.  First checks that the two pools agree tree for tree,
-    in order: the package caps children at m - 1 where the reference
-    filters by degree.
+    Yields ``(k, sequences, alone, whole, ref)`` per order: counts, or
+    with ``emit`` the emitted parent tuples in order.  ``alone`` holds
+    the package's ``_scan_order`` on each sequence by itself and ``ref``
+    the seed kernel in ``reference_scan.py`` on the pools of
+    ``reference_phase1``, one entry per sequence.  ``whole`` is one
+    ``_scan_order`` call on the order's whole list, as a serial run makes
+    it, in which the sequences share their clash rows.  With ``rng`` each
+    order's list is shuffled first.  Before the scans, checks that the
+    two pools agree tree for tree, in order: the package caps children at
+    m - 1 where the reference filters by degree.
     """
     m_eff = n - 1 if m is None else m
     subtrees = _build_subtree_pools(n, m_eff)
@@ -183,53 +189,71 @@ def scan_per_sequence(n: int, m: int | None, emit: bool, rng: random.Random | No
     for s in range(1, len(subtrees)):
         assert [t.parents for t in subtrees[s]] == [t.parents for t in ref_subtrees[s]]
     tables = {s: _key_table(s, subtrees[s]) for s in range(1, len(subtrees))}
-    tasks = phase2_tasks(n, m_eff)
-    emitted: list = []
-    run = _task_runner(tables, tasks, (lambda t: emitted.append(t.parents)) if emit else None)
-    if rng is not None:
-        tasks = sorted(tasks, key=lambda task: (task[0], rng.random()))
-    masked: dict = {}
-    masked_order = 0
-    for k, seq in tasks:
-        if k != masked_order:
-            masked, masked_order = {}, k
-        for s in seq:
-            if s not in masked:
-                masked[s] = _masked_collection(ref_subtrees[s], k)
-        emitted.clear()
-        count = run((k, seq))
-        if emit:
-            ref: list = []
-            _scan_products(k, [seq], masked, lambda t: ref.append(t.parents))
-            assert count == len(emitted)
-            yield (k, seq), list(emitted), ref
-        else:
-            yield (k, seq), count, _scan_products(k, [seq], masked, None)
+    for k in range(3, n + 1):
+        sequences = _phase2_sequences(k, m_eff)
+        if rng is not None:
+            rng.shuffle(sequences)
+        masked = {s: _masked_collection(ref_subtrees[s], k) for s in {s for seq in sequences for s in seq}}
+        alone = [collect(lambda f: _scan_order(tables, k, [seq], f), emit) for seq in sequences]
+        ref = [collect(lambda f: _scan_products(k, [seq], masked, f), emit) for seq in sequences]
+        yield k, sequences, alone, collect(lambda f: _scan_order(tables, k, sequences, f), emit), ref
 
 
 class TestBitSlicedScanAgainstReference:
     @pytest.mark.parametrize("m", [None, 2, 3, 4])
     def test_counts_per_sequence_through_26(self, m):
-        results = list(scan_per_sequence(26, m, emit=False))
-        assert {key: new for key, new, _ in results} == {key: ref for key, _, ref in results}
+        total = 0
+        for k, _, alone, whole, ref in scan_against_reference(26, m, emit=False):
+            assert alone == ref, k
+            assert whole == sum(ref), k
+            total += whole
         if m != 2:
-            assert sum(new for _, new, _ in results) > 0
+            assert total > 0
 
     @pytest.mark.parametrize("m", [None, 3])
     def test_emission_order_per_sequence_through_20(self, m):
-        results = list(scan_per_sequence(20, m, emit=True))
-        assert {key: new for key, new, _ in results} == {key: ref for key, _, ref in results}
-        assert any(new for _, new, _ in results)
+        emitted = False
+        for k, _, alone, whole, ref in scan_against_reference(20, m, emit=True):
+            assert alone == ref, k
+            assert whole == [parents for trees in ref for parents in trees], k
+            emitted |= bool(whole)
+        assert emitted
 
     @pytest.mark.parametrize("m", [None, 3])
     def test_shuffled_tasks_within_each_order(self, m):
-        # The clash rows are a pure cache.  Tasks run in an order the
-        # runner did not plan for make it drop rows too early or store
-        # rows no later task reads; that only costs recomputation.
-        results = list(scan_per_sequence(26, m, emit=False, rng=random.Random(26)))
-        keys = [key for key, _, _ in results]
-        assert keys != phase2_tasks(26, 25 if m is None else m)
-        assert {key: new for key, new, _ in results} == {key: ref for key, _, ref in results}
+        # The clash rows are a pure cache.  Sequences in another order
+        # than a run's make the scan drop rows too early or store rows no
+        # later sequence reads; that only costs recomputation.
+        shuffled = False
+        for k, sequences, _, whole, ref in scan_against_reference(26, m, emit=False, rng=random.Random(26)):
+            assert whole == sum(ref), k
+            shuffled |= sequences != _phase2_sequences(k, 25 if m is None else m)
+        assert shuffled
+
+    def test_a_whole_order_builds_the_rows_of_each_pair_once(self, monkeypatch):
+        # Whichever sequences share a pair of parts, its clash rows are
+        # built by the first of them and reused by the rest.
+        built: collections.Counter = collections.Counter()
+
+        class CountedRows(generation._ClashRows):
+            def __init__(self, earlier, later):
+                super().__init__(earlier, later)
+                built[earlier.table.order, later.table.order] += 1
+
+        monkeypatch.setattr(generation, "_ClashRows", CountedRows)
+        n = 24
+        subtrees = _build_subtree_pools(n, n - 1)
+        tables = {s: _key_table(s, subtrees[s]) for s in range(1, len(subtrees))}
+        shared = 0
+        for k in range(3, n + 1):
+            sequences = _phase2_sequences(k, n - 1)
+            built.clear()
+            _scan_order(tables, k, sequences, None)
+            uses = collections.Counter(pair for seq in sequences for pair in itertools.combinations(seq, 2))
+            assert set(built) <= set(uses), k
+            assert max(built.values(), default=1) == 1, k
+            shared += sum(uses[pair] > 1 for pair in built)
+        assert shared > 0
 
 
 class TestKeyTablesAgainstSlicing:
@@ -392,6 +416,58 @@ class TestPhase2Sequences:
                 _phase2_sequences(k, 2)
 
 
+REAL_POOL = concurrent.futures.ProcessPoolExecutor
+
+
+class RecordingPool:
+    """A process pool that records its tasks and counts results not yet read.
+
+    It fails the run as soon as the parent has submitted more than two
+    tasks per worker whose results it has not read.
+    """
+
+    def __init__(self, *args, max_workers, **kwargs):
+        self.pool = REAL_POOL(*args, max_workers=max_workers, **kwargs)
+        self.limit = 2 * max_workers
+        self.tasks: list = []
+        self.outstanding = self.peak = 0
+
+    def submit(self, fn, task):
+        self.outstanding += 1
+        if self.outstanding > self.limit:
+            raise AssertionError(f"{self.outstanding} results outstanding with a limit of {self.limit}")
+        self.peak = max(self.peak, self.outstanding)
+        self.tasks.append(task)
+        return Outstanding(self, self.pool.submit(fn, task))
+
+    def shutdown(self, **kwargs):
+        self.pool.shutdown(**kwargs)
+
+
+class Outstanding:
+    """A task of a ``RecordingPool`` whose result has not been read yet."""
+
+    def __init__(self, pool: RecordingPool, future: concurrent.futures.Future):
+        self.pool, self.future = pool, future
+
+    def result(self):
+        self.pool.outstanding -= 1
+        return self.future.result()
+
+
+@pytest.fixture
+def recording_pools(monkeypatch):
+    """The ``RecordingPool``s that runs start in the test, in order."""
+    pools: list[RecordingPool] = []
+
+    def start(*args, **kwargs):
+        pools.append(RecordingPool(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", start)
+    return pools
+
+
 class TestParallel:
     def test_census_matches_serial(self):
         assert (
@@ -422,21 +498,53 @@ class TestParallel:
     def test_no_more_workers_than_tasks(self, monkeypatch):
         # A fork-based pool starts every worker at the first task, so the
         # pool must never be asked for more workers than there are tasks.
-        real = concurrent.futures.ProcessPoolExecutor
-        n = 11
-        tasks = sum(len(_phase2_sequences(k, n - 1)) for k in range(3, n + 1))
+        # At n = 13 the 13 sequences make 12 tasks: (1, 2, 4, 5) and
+        # (1, 2, 3, 6) of order 13 share their first two parts.
+        n = 13
+        tasks = sum(len({seq[:2] for seq in _phase2_sequences(k, n - 1)}) for k in range(3, n + 1))
         requested: list[int] = []
 
         def capped_pool(*args, max_workers, **kwargs):
             if max_workers > tasks:
                 raise AssertionError(f"{max_workers} workers for {tasks} tasks")
             requested.append(max_workers)
-            return real(*args, max_workers=max_workers, **kwargs)
+            return REAL_POOL(*args, max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", capped_pool)
         assert generate_ti_trees(n, workers=64) == generate_ti_trees(n)
-        assert tasks == 6
-        assert requested == [6]
+        assert tasks == 12
+        assert requested == [12]
+
+    def test_results_outstanding_stay_within_two_per_worker(self, recording_pools):
+        # A reader that stalls holds back the workers instead of letting
+        # the lines of finished tasks pile up in this process.
+        serial: list[bytes] = []
+        generate_ti_trees(16, None, lambda t: serial.append(parent_list_line(t)))
+        lines: list[bytes] = []
+        generate_ti_trees(16, None, lines.append, workers=2, encoder=parent_list_line)
+        assert lines == serial
+        [pool] = recording_pools
+        assert len(pool.tasks) > pool.limit == 4
+        assert pool.peak == pool.limit
+
+    @pytest.mark.parametrize("m", [None, 3])
+    def test_tasks_concatenate_to_the_run_sequences(self, recording_pools, m):
+        n = 19
+        generate_ti_trees(n, m, workers=2)
+        [pool] = recording_pools
+        m_eff = n - 1 if m is None else m
+        expected = [(k, seq) for k in range(3, n + 1) for seq in _phase2_sequences(k, m_eff)]
+        assert [(k, seq) for k, run in pool.tasks for seq in run] == expected
+
+    def test_each_task_is_a_maximal_run_with_equal_first_two_parts(self, recording_pools):
+        n = 19
+        generate_ti_trees(n, workers=2)
+        [pool] = recording_pools
+        assert len(pool.tasks) < sum(len(run) for _, run in pool.tasks)
+        for k, run in pool.tasks:
+            assert run and {seq[:2] for seq in run} == {run[0][:2]}, (k, run)
+        for (k, run), (next_k, next_run) in itertools.pairwise(pool.tasks):
+            assert k != next_k or run[0][:2] != next_run[0][:2], (k, run, next_run)
 
     def test_a_single_task_runs_in_this_process(self, monkeypatch):
         def no_pool(*args, **kwargs):
