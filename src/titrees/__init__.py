@@ -1,9 +1,11 @@
 """Isomorph-free generation of transmission irregular trees.
 
 The generator builds weakly transmission irregular rooted trees bottom
-up with incremental transmission arithmetic and filters for the trees
-whose transmissions are globally distinct; a brute-force oracle based on
-plain breadth-first searches provides independent verification.
+up, tracking each vertex's path sum (the subtree sizes on its path from
+the root), from which its transmission relative to the root follows,
+and filters for the trees whose transmissions are globally distinct; a
+brute-force oracle based on plain breadth-first searches provides
+independent verification.
 """
 
 from .enumeration import generate_wti_trees

@@ -95,13 +95,16 @@ class TICensus:
 def is_ti_tree(tree: WTITree) -> bool:
     """True iff the tree is a canonical TI form.
 
-    Requires all transmissions across all levels to be pairwise distinct
-    with the unique minimum sitting at the root.  The levels of a WTI
-    tree hold as many bits as vertices, so the values are distinct
-    exactly when their union has ``order`` bits.
+    Requires all transmissions to be pairwise distinct, with the unique
+    minimum at the root.  Shifting level d up by n * (D - d), D the
+    depth, puts a vertex with doubled path sum q at bit n * D less its
+    excess n * d - q over the root.  A WTI level has as many bits as
+    vertices, so the union has n bits iff the values are distinct, and
+    no bit above the root's, n * D, iff the root is the minimum.
     """
-    union = reduce(or_, tree.levels)
-    return union.bit_count() == tree.order and union & -union == tree.levels[0]
+    n, depth = tree.order, len(tree.levels) - 1
+    union = reduce(or_, (bits << n * (depth - d) for d, bits in enumerate(tree.levels)))
+    return union.bit_count() == n and union >> n * depth == 1
 
 
 # ----------------------------------------------------------------------
@@ -112,20 +115,21 @@ def is_ti_tree(tree: WTITree) -> bool:
 class KeyTable(NamedTuple):
     """The vertices of one component pool as keys that hold for every order.
 
-    When a pool tree of order c and root transmission rt becomes a root
-    subtree of a joined tree of order k, the transmission of its level-l
-    vertex with within-tree value t exceeds the new root's by
+    When a pool tree of order c becomes a root subtree of a joined tree
+    of order k, its level-l vertex with doubled path sum q sits at depth
+    l + 1 with doubled path sum 2c + q, so its transmission exceeds the
+    new root's by
 
-        t - rt + (k - 2c) + (k - c) * l  =  a + m * k,
+        k * (l + 1) - 2c - q  =  a + m * k,
 
-    with a = t - rt - 2c - c * l and m = l + 1, independently of the
-    sibling subtrees.  Neither a nor m depends on k, so the pool is keyed
-    once per run: ``keys`` lists the distinct (a, m) pairs of the pool,
-    ``members[q]`` has bit j set iff ``trees[j]`` has a vertex with key
-    ``keys[q]``, and ``tree_keys[c * j : c * j + c]`` holds the key
+    with a = -2c - q and m = l + 1, independently of the sibling
+    subtrees.  Neither a nor m depends on k, so the pool is keyed once
+    per run: ``keys`` lists the distinct (a, m) pairs of the pool,
+    ``members[i]`` has bit j set iff ``trees[j]`` has a vertex with key
+    ``keys[i]``, and ``tree_keys[c * j : c * j + c]`` holds the key
     indices of ``trees[j]``, c being ``order``, the order of every tree
     of the pool.  The vertices of one tree have distinct keys: on one
-    level the values t differ, and levels differ in m.  ``trees`` is None
+    level the values q differ, and levels differ in m.  ``trees`` is None
     in a run that only counts, which never reads a tree.
     """
 
@@ -145,27 +149,27 @@ def _key_table(c: int, trees: list[WTITree]) -> KeyTable:
     # would copy the whole bitset per vertex.
     buffers: list[bytearray] = []
     size = (len(trees) + 7) // 8
-    # Level l has at most 2l(c - 2) + 1 keys, as |t - rt| <= l(c - 2), so
-    # the indices fit in 16 bits for c <= 40, far past any pool that fits
-    # in memory; a larger one raises OverflowError.
+    # A level-l path sum adds l decreasing subtree sizes below c, so
+    # level l has at most l(c - l - 1) + 1 keys and the indices fit in
+    # 16 bits for c <= 74, far past any pool that fits in memory; a
+    # larger one raises OverflowError.
     tree_keys = array("H")
+    base = 1 - 2 * c  # a = -2c - q, q being the bit length of its bit less 1
     for j, tree in enumerate(trees):
-        a = -tree.root_transmission - 2 * c  # a key's a is this plus t
         byte, bit = j >> 3, 1 << (j & 7)
         for level, bits in enumerate(tree.levels):
             at = index[level]
             while bits:
                 low = bits & -bits
-                key = a + low.bit_length() - 1
-                q = at.get(key)
-                if q is None:
-                    q = at[key] = len(keys)
+                key = base - low.bit_length()
+                i = at.get(key)
+                if i is None:
+                    i = at[key] = len(keys)
                     keys.append((key, level + 1))
                     buffers.append(bytearray(size))
-                buffers[q][byte] |= bit
-                tree_keys.append(q)
+                buffers[i][byte] |= bit
+                tree_keys.append(i)
                 bits ^= low
-            a -= c
     members = [int.from_bytes(buffer, "little") for buffer in buffers]
     return KeyTable(c, trees, keys, members, tree_keys)
 
@@ -173,7 +177,7 @@ def _key_table(c: int, trees: list[WTITree]) -> KeyTable:
 class OrderPool(NamedTuple):
     """A component pool transposed for one joined order k, from its key table.
 
-    ``offsets[q]`` is a + m * k for key q = (a, m).  ``columns[b]`` has
+    ``offsets[i]`` is a + m * k for key i = (a, m).  ``columns[b]`` has
     bit j set iff tree j of ``table`` has a vertex at offset b; it has one
     entry per possible offset, all below k * k (a vertex at level l < c of
     a tree of order c < k/2 has offset at most k - 2c + l(k - 2)).

@@ -5,7 +5,7 @@ enumerated by the classical level-sequence successor scheme, transmissions
 are computed by one breadth-first search per vertex, and isomorphism is
 decided through canonical encodings of the tree rooted at its
 minimum-transmission vertices, one or two adjacent ones.  None of the
-incremental transmission arithmetic used by the generator appears here,
+path-sum arithmetic used by the generator appears here,
 which is what makes agreement between the two paths meaningful evidence.
 """
 

@@ -3,22 +3,20 @@
 An ordered rooted tree is WTI when any two vertices on the same level
 have different transmissions (a vertex's transmission is its hop-count
 sum to all other vertices).  Trees are represented compactly: a parent
-array plus one int bitset per level, with bit t set when some vertex of
-that level has transmission t.  New trees are built exclusively by
-joining smaller WTI trees under a fresh root, and the levels of the
-result are derived from the children's levels without distance sweeps:
+array plus one int bitset per level of doubled path sums.  The path sum
+P(v) of a vertex v is the sum of the subtree sizes on the path from the
+root to v, the root's own excluded.  Crossing the edge into a subtree
+of size s changes a transmission by n - 2s (Zelinka 1968), so a vertex
+at depth d of a tree of order n has
 
-* the new root's transmission R is the sum of the children's root
-  transmissions plus one for each of the n - 1 other vertices;
-* crossing the edge from the root to a child subtree of size c changes
-  a transmission by n - 2c;
-* every vertex deeper inside a child shifts by the same root delta plus
-  (n - c) times its level within the child.
+    T(v) = T(root) + n * d - 2 * P(v),
 
-So all vertices of one level of a child of order c and root
-transmission rt shift by the same amount, R + n - 2c - rt + (n - c) * l
-at level l, which is always positive: a join is one big-int shift per
-child level, an AND to test for a repeated value and an OR.
+and on one level transmissions differ exactly when path sums do.  New
+trees are built exclusively by joining smaller WTI trees under a fresh
+root.  A path sum does not depend on the tree a subtree is joined into:
+under the new root, each vertex of a child of order c gains c, so every
+level of that child shifts by the same 2c.  A join is one big-int shift
+per child level, an AND to test for a repeated value and an OR.
 """
 
 from __future__ import annotations
@@ -35,23 +33,19 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class WTITree:
-    """Immutable ordered rooted tree with one transmission bitset per level.
+    """Immutable ordered rooted tree with one path-sum bitset per level.
 
     Vertices are labeled 0..order-1 with the root labeled 0 and every
     child labeled after its parent, so ``parents[x] < x`` for x >= 1
-    (``parents[0]`` is an unused sentinel).  Bit t of ``levels[i]`` is
-    set iff some level-i vertex has transmission t; a WTI level has as
-    many bits as vertices.  Instances are safe to share across threads
-    and processes.
+    (``parents[0]`` is an unused sentinel).  Bit q of ``levels[i]`` is
+    set iff some level-i vertex has doubled path sum q, so ``levels[0]``
+    is 1; a WTI level has as many bits as vertices.  Instances are safe
+    to share across threads and processes.
     """
 
     order: int
     parents: tuple[int, ...]
     levels: tuple[int, ...]
-
-    @property
-    def root_transmission(self) -> int:
-        return self.levels[0].bit_length() - 1
 
 
 SINGLE_VERTEX = WTITree(order=1, parents=(0,), levels=(1,))
@@ -66,22 +60,15 @@ def join_wti_trees(children: Sequence[WTITree]) -> WTITree | None:
     Returns None exactly when some level of the combined tree would
     contain a duplicated transmission value.
     """
-    order = 1
-    root_value = 0
     previous = 0
     for child in children:
         if child.order <= previous:
             raise ValueError("children must have strictly increasing orders")
         previous = child.order
-        order += previous
-        root_value += child.root_transmission
-    root_value += order - 1
-    levels = [1 << root_value]
+    levels = [1]
     parents = [0]
     for child in children:
-        c = child.order
-        shift = root_value + order - 2 * c - child.root_transmission
-        step = order - c
+        shift = 2 * child.order
         for lvl, bits in enumerate(child.levels, 1):
             bits <<= shift
             if lvl == len(levels):
@@ -90,9 +77,8 @@ def join_wti_trees(children: Sequence[WTITree]) -> WTITree | None:
                 return None
             else:
                 levels[lvl] |= bits
-            shift += step
         # The child's segment, relabeled; its root hangs off the new root.
         offset = len(parents)
         parents += map(offset.__add__, child.parents)
         parents[offset] = 0
-    return WTITree(order, tuple(parents), tuple(levels))
+    return WTITree(len(parents), tuple(parents), tuple(levels))

@@ -18,6 +18,8 @@ with it.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Callable, NamedTuple, Sequence
 
 from reference_join import (
@@ -26,6 +28,7 @@ from reference_join import (
     reference_join,
     reference_offset_mask,
 )
+from support import level_transmissions
 from titrees.enumeration import IncreasingSequence
 from titrees.wti import WTITree
 
@@ -40,17 +43,24 @@ def _offset_mask(tree: WTITree, joined_order: int) -> int | None:
         t - root_transmission + (joined_order - 2c) + (joined_order - c) * l
 
     independently of the sibling subtrees.  Bit o of the mask is set for
-    each such offset o, so the mask is the OR of the level bitsets, each
-    shifted by the offset of its level's value 0.  Returns None when the
-    tree can never take part in a TI join of this order: some offset is
-    <= 0 (a vertex would tie or undercut the root) or two of its own
-    vertices always collide.
+    each such offset o, so the mask is the OR of the levels' transmission
+    bitsets, each shifted by the offset of its level's value 0.  Returns
+    None when the tree can never take part in a TI join of this order:
+    some offset is <= 0 (a vertex would tie or undercut the root) or two
+    of its own vertices always collide.
+
+    The transmissions come from ``support.level_transmissions``, which
+    derives them from ``parents`` alone, not from the package's level
+    bitsets, so this reference does not share the representation it
+    checks.
     """
     c = tree.order
-    shift = joined_order - 2 * c - tree.root_transmission
+    levels = level_transmissions(tree)
+    shift = joined_order - 2 * c - levels[0][0]
     step = joined_order - c
     mask = 0
-    for bits in tree.levels:
+    for values in levels:
+        bits = reduce(or_, (1 << t for t in values))
         if shift > 0:
             mask |= bits << shift
         elif bits & ((2 << -shift) - 1):  # a value t <= -shift

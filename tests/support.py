@@ -137,6 +137,28 @@ def level_transmissions(tree: WTITree) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, grouped))
 
 
+def level_path_sums(tree: WTITree) -> tuple[tuple[int, ...], ...]:
+    """The doubled path sums of each level, in ascending label order.
+
+    Derived from ``parents`` alone: a vertex's path sum is its parent's
+    plus its own subtree size, and the root's is 0.
+    """
+    n, parents = tree.order, tree.parents
+    size = [1] * n
+    for x in range(n - 1, 0, -1):
+        size[parents[x]] += size[x]
+    level = [0] * n
+    value = [0] * n
+    grouped: list[list[int]] = [[0]]
+    for x in range(1, n):
+        level[x] = level[parents[x]] + 1
+        value[x] = value[parents[x]] + 2 * size[x]
+        if level[x] == len(grouped):
+            grouped.append([])
+        grouped[level[x]].append(value[x])
+    return tuple(map(tuple, grouped))
+
+
 def get_max_degree(tree: WTITree) -> tuple[int, int]:
     """(maximum vertex degree, number of root children) of a WTI tree."""
     child_count = [0] * tree.order
@@ -152,7 +174,7 @@ def get_max_degree(tree: WTITree) -> tuple[int, int]:
 
 
 def level_sets(tree: WTITree) -> list[set[int]]:
-    """The transmissions of each level, read off the level bitsets."""
+    """The doubled path sums of each level, read off the level bitsets."""
     return [{t for t in range(bits.bit_length()) if bits >> t & 1} for bits in tree.levels]
 
 
@@ -182,10 +204,14 @@ def validate_wti_tree(tree: WTITree) -> None:
         if level_of.count(i) != bits.bit_count():
             raise ValueError(f"level {i} holds {bits.bit_count()} values for {level_of.count(i)} vertices")
 
-    bound = n * (n - 1) // 2
-    for bits in tree.levels:
-        if bits >> (bound + 1):
-            raise ValueError(f"transmission {bits.bit_length() - 1} outside 0..{bound}")
+    # A level-l path sum adds l strictly decreasing subtree sizes below n.
+    for l, bits in enumerate(tree.levels):
+        low, high = l * (l + 1), 2 * l * n - l * (l + 1)
+        if bits & ((1 << low) - 1) or bits >> (high + 1):
+            raise ValueError(f"level {l} holds a doubled path sum outside {low}..{high}")
+    derived = [set(values) for values in level_path_sums(tree)]
+    if level_sets(tree) != derived:
+        raise ValueError("level bitsets differ from the path sums of the parent array")
 
     # Children of every vertex, taken in label order, must have strictly
     # increasing subtree orders.

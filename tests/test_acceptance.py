@@ -17,6 +17,7 @@ from conftest import adjacency_of, levels_from_parents, subtree_sizes_from_paren
 from support import (
     decode_graph6,
     decode_sparse6,
+    level_path_sums,
     level_sets,
     level_transmissions,
     prufer_to_edges,
@@ -160,9 +161,12 @@ def test_criterion_5_oracle_self_check():
 
 
 def test_criterion_6_incremental_arithmetic():
-    """On every pool tree of order <= 12, the stored level bitsets and the
-    level transmissions derived from the parent array equal BFS-computed
-    ones, and the edge-step identity holds on every edge."""
+    """On every pool tree of order <= 12, every vertex v at depth d has
+    T(v) - T(root) = n * d - 2P(v) by BFS, P(v) being the sum of the
+    subtree sizes on its root path; the stored level bitsets equal the
+    doubled path sums derived from the parent array; the level
+    transmissions derived from the parent array equal BFS-computed ones;
+    and the edge-step identity holds on every edge."""
     pool = generate_wti_trees(12, 12)
     levels_ok = True
     edges_ok = True
@@ -170,15 +174,20 @@ def test_criterion_6_incremental_arithmetic():
         for tree in pool[k]:
             bfs = transmissions_bfs(adjacency_of(tree))
             level = levels_from_parents(tree)
+            size = subtree_sizes_from_parents(tree)
+            path_sum = [0] * k
+            for v in range(1, k):
+                path_sum[v] = path_sum[tree.parents[v]] + size[v]
+                if k * level[v] - 2 * path_sum[v] != bfs[v] - bfs[0]:
+                    levels_ok = False
+            if level_sets(tree) != [set(values) for values in level_path_sums(tree)]:
+                levels_ok = False
             grouped = tuple(
                 tuple(bfs[v] for v in range(tree.order) if level[v] == i)
                 for i in range(len(tree.levels))
             )
             if grouped != level_transmissions(tree):
                 levels_ok = False
-            if level_sets(tree) != [set(values) for values in grouped]:
-                levels_ok = False
-            size = subtree_sizes_from_parents(tree)
             for x in range(1, tree.order):
                 if bfs[x] - bfs[tree.parents[x]] != tree.order - 2 * size[x]:
                     edges_ok = False

@@ -18,7 +18,9 @@ from titrees import (
     canonical_form,
     generate_ti_trees,
     generation,
+    join_wti_trees,
     parent_list_line,
+    transmissions_bfs,
 )
 from titrees.enumeration import generate_increasing
 from titrees.generation import (
@@ -110,6 +112,12 @@ class TestIsTiTree:
     def test_minimum_must_sit_at_root(self, chains):
         # The 3-chain rooted at an end has the minimum at its middle vertex.
         assert not is_ti_tree(chains[3])
+        # The spider with legs 1, 2, 3 rooted at the end of its 2-leg has
+        # distinct transmissions, the minimum 10 at the centre, vertex 2.
+        tree = join_wti_trees([SINGLE_VERTEX, join_wti_trees([SINGLE_VERTEX, chains[3]])])
+        assert tree.parents == (0, 0, 0, 2, 2, 4, 5)
+        assert transmissions_bfs(adjacency_of(tree)) == [13, 18, 10, 15, 11, 14, 19]
+        assert not is_ti_tree(tree)
 
 
 class TestCensus:
@@ -349,8 +357,10 @@ class TestEmission:
         generate_ti_trees(14, None, seen.append)
         for tree in seen:
             assert is_ti_tree(tree)
+            bfs = transmissions_bfs(adjacency_of(tree))
             values = [t for level in level_transmissions(tree) for t in level]
-            assert min(values) == tree.root_transmission
+            assert min(values) == bfs[0]
+            assert sorted(values) == sorted(bfs)
             validate_wti_tree(tree)  # includes increasing child subtree orders
 
     def test_exactly_once_up_to_isomorphism(self):

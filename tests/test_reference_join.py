@@ -1,10 +1,12 @@
 """Differential tests: the bitset kernels against the list-based reference.
 
-``titrees.wti.join_wti_trees``, ``titrees.generation.is_ti_tree`` and
-``reference_scan._offset_mask`` work on one int bitset per level;
+``titrees.wti.join_wti_trees`` and ``titrees.generation.is_ti_tree``
+work on one int bitset of doubled path sums per level, and
+``reference_scan._offset_mask`` on one of transmissions per level;
 ``reference_join.py`` keeps the seed kernels, which work value by value
-on per-level lists.  Both pools are grown side by side here, join by
-join, so every attempted join of the pool through order 13 is compared.
+on per-level lists of transmissions.  Both pools are grown side by side
+here, join by join, so every attempted join of the pool through order
+13 is compared, and so is every join phase 2 attempts at orders 14-17.
 """
 
 from __future__ import annotations
@@ -23,10 +25,19 @@ from reference_scan import _offset_mask
 from support import level_sets
 from titrees import generate_wti_trees, join_wti_trees
 from titrees.enumeration import generate_increasing
-from titrees.generation import is_ti_tree
+from titrees.generation import _phase2_sequences, is_ti_tree
 from titrees.wti import SINGLE_VERTEX
 
 MAX_POOL_ORDER = 13
+
+
+def path_sums_of(ref) -> list[set[int]]:
+    """The doubled path sums of each level of a reference tree.
+
+    A vertex at depth d with transmission t has n * d - (t - T(root)).
+    """
+    n, root = ref.order, ref.root_transmission
+    return [{n * d - (t - root) for t in values} for d, values in enumerate(ref.level_transmissions)]
 
 
 @pytest.fixture(scope="module")
@@ -48,9 +59,7 @@ def paired_pool():
                 if (new is None) != (ref is None):
                     mismatches += 1
                 elif new is not None:
-                    if new.parents != ref.parents or level_sets(new) != [
-                        set(values) for values in ref.level_transmissions
-                    ]:
+                    if new.parents != ref.parents or level_sets(new) != path_sums_of(ref):
                         mismatches += 1
                     pool[k].append((new, ref))
     return pool, attempts, mismatches
@@ -77,6 +86,19 @@ class TestJoinAgainstReference:
         ]
         assert all(a == b for a, b in answers)
         assert {a for a, _ in answers} == {True, False}
+        # Every join that phase 2 attempts at orders 14 to 17, both
+        # parities, where every part c has n > 2c.
+        for k in range(14, 18):
+            answers = []
+            for seq in _phase2_sequences(k, k - 1):
+                for pairs in itertools.product(*(pool[s] for s in seq)):
+                    new = join_wti_trees([tree for tree, _ in pairs])
+                    ref = reference_join([tree for _, tree in pairs])
+                    assert (new is None) == (ref is None)
+                    if new is not None:
+                        answers.append((is_ti_tree(new), reference_is_ti_tree(ref)))
+            assert all(a == b for a, b in answers), k
+            assert {a for a, _ in answers} == {True, False}, k
 
 
 class TestOffsetMaskAgainstReference:
