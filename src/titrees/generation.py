@@ -33,9 +33,13 @@ by tree.
 
 A call of ``_scan_order`` scans a list of sequences of one order, and its
 pools and clash rows live only as long as the call.  A serial run makes
-one call per order.  A parallel run gives each worker task one order's
-maximal run of sequences with equal first two parts, the sequences that
-share the most rows.
+one call per order.  A parallel run cuts each order's list into maximal
+contiguous chunks, none heavier than the heaviest single sequence, a
+sequence weighing the number of candidates it scans.  No task can be
+lighter than that sequence, so the bound comes from the input.  List
+scheduling ends a run within the longest task of an even share of the
+work (Graham, SIAM J. Appl. Math. 17, 1969), and the cut keeps the
+longest task no longer than it has to be.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ from array import array
 from dataclasses import dataclass, field
 from collections import deque
 from functools import reduce
-from itertools import combinations, groupby, islice
+from itertools import combinations, islice
+from math import prod
 from operator import or_
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -60,8 +65,8 @@ __all__ = [
 
 TreeCallback = Callable[[WTITree], None]
 
-# One parallel phase-2 task: a joined order and a maximal run of its
-# root-subtree order sequences with equal first two parts.
+# One parallel phase-2 task: a joined order and a contiguous chunk of its
+# root-subtree order sequences (see ``_tasks``).
 Task = tuple[int, list[IncreasingSequence]]
 
 
@@ -139,6 +144,11 @@ class KeyTable(NamedTuple):
     members: list[int]
     tree_keys: array
 
+    @property
+    def size(self) -> int:
+        """The number of trees in the pool, read off ``tree_keys``."""
+        return len(self.tree_keys) // self.order
+
 
 def _key_table(c: int, trees: list[WTITree]) -> KeyTable:
     """Key the vertices of the component pool of order c (see ``KeyTable``)."""
@@ -204,8 +214,7 @@ def _order_pool(table: KeyTable, joined_order: int) -> OrderPool:
             # A tree already in the column has another vertex at offset b.
             invalid |= columns[b] & members
             columns[b] |= members
-    trees = len(table.tree_keys) // table.order
-    return OrderPool(table, offsets, columns, ((1 << trees) - 1) & ~invalid)
+    return OrderPool(table, offsets, columns, ((1 << table.size) - 1) & ~invalid)
 
 
 class _ClashRows(dict):
@@ -363,6 +372,29 @@ def _scan_order(
     return count
 
 
+def _tasks(tables: dict[int, KeyTable], orders: list[tuple[int, list[IncreasingSequence]]]) -> list[Task]:
+    """Cut each order's sequences into the tasks of a parallel run.
+
+    A sequence weighs the product of its parts' pool sizes, the number
+    of candidates its scan ranges over.  Each order's list is cut into
+    maximal contiguous chunks, none heavier than the heaviest single
+    sequence of the run: a chunk ends only where its next sequence would
+    push it over that weight.
+    """
+    weights = {k: [prod(tables[s].size for s in seq) for seq in sequences] for k, sequences in orders}
+    heaviest = max((w for ws in weights.values() for w in ws), default=0)
+    tasks: list[Task] = []
+    for k, sequences in orders:
+        load = heaviest + 1  # no chunk of order k yet
+        for seq, weight in zip(sequences, weights[k]):
+            load += weight
+            if load > heaviest:
+                tasks.append((k, []))
+                load = weight
+            tasks[-1][1].append(seq)
+    return tasks
+
+
 def generate_ti_trees(
     n: int,
     m: int | None = None,
@@ -381,11 +413,13 @@ def generate_ti_trees(
 
     Phase 2 scans each order's sequences with ``_scan_order``: with
     ``workers == 1`` or a single task, in this process, one call per
-    order.  Otherwise each task is one order's maximal run of sequences
-    with equal first two parts, which share those parts' clash rows, and
-    the tasks run on a pool of at most ``workers`` processes and no more
-    than one per task (CPython threads would serialize on the interpreter
-    lock), which encode their trees and send the lines back.  At most two
+    order.  Otherwise each task is a contiguous chunk of one order's
+    sequences, no heavier than the heaviest single sequence (see
+    ``_tasks``), and the tasks run on a pool of at most ``workers``
+    processes and no more than one per task (CPython threads would
+    serialize on the interpreter lock).  The workers encode their trees
+    and send each task's lines back as one buffer with the end offset of
+    each line, so any encoder's bytes come back intact.  At most two
     tasks per worker are submitted and not yet passed on, so a slow
     reader holds back the workers rather than filling memory.  The lines
     are passed on in task order, so the output is the same for any worker
@@ -414,7 +448,7 @@ def generate_ti_trees(
         tables = {s: table._replace(trees=None) for s, table in tables.items()}
     del subtrees
     orders = [(k, _phase2_sequences(k, m_eff)) for k in range(3, n + 1)]
-    tasks = [(k, list(run)) for k, sequences in orders for _, run in groupby(sequences, key=lambda s: s[:2])]
+    tasks = _tasks(tables, orders)
     # A fork-based pool starts all its workers at the first task, so
     # never ask for more workers than there are tasks.
     workers = min(workers, len(tasks))
@@ -442,11 +476,13 @@ def generate_ti_trees(
         submitted = (executor.submit(_worker_task, task) for task in tasks)
         window = deque(islice(submitted, 2 * workers))
         for k, _ in tasks:
-            count, lines = window.popleft().result()
+            count, block, ends = window.popleft().result()
             window.extend(islice(submitted, 1))
             census.counts[k] += count
-            for line in lines:
-                func(line)
+            start = 0
+            for end in ends:
+                func(block[start:end])
+                start = end
     finally:
         # On an interrupt or a closed pipe, drop the tasks not yet started
         # instead of running the rest of the list.
@@ -466,8 +502,17 @@ def _worker_init(tables: dict[int, KeyTable], encoder: Callable[[WTITree], bytes
     _worker_tables, _worker_encoder = tables, encoder
 
 
-def _worker_task(task: Task) -> tuple[int, list[bytes]]:
+def _worker_task(task: Task) -> tuple[int, bytes, array]:
+    """Scan one task: its count, its encoded lines end to end in one
+    block, and the end offset of each line in the block."""
     k, sequences = task
-    lines: list[bytes] = []
-    emit = None if _worker_encoder is None else lambda tree: lines.append(_worker_encoder(tree))
-    return _scan_order(_worker_tables, k, sequences, emit), lines
+    block, ends = bytearray(), array("Q")
+
+    def emit(tree: WTITree) -> None:
+        block.extend(_worker_encoder(tree))
+        ends.append(len(block))
+
+    count = _scan_order(_worker_tables, k, sequences, None if _worker_encoder is None else emit)
+    # Sent as bytes: pickle protocol 4 sends a bytearray through a bytes
+    # copy, one more copy of the block in each process.
+    return count, bytes(block), ends

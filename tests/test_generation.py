@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import concurrent.futures
 import itertools
+import math
 import os
 import random
 
@@ -18,8 +19,10 @@ from titrees import (
     canonical_form,
     generate_ti_trees,
     generation,
+    graph6_line,
     join_wti_trees,
     parent_list_line,
+    sparse6_line,
     transmissions_bfs,
 )
 from titrees.enumeration import generate_increasing
@@ -465,6 +468,23 @@ class Outstanding:
         return self.future.result()
 
 
+def awkward_line(tree) -> bytes:
+    """An encoder whose lines a separator cannot frame: some are empty,
+    the others hold newlines of their own."""
+    line = parent_list_line(tree)
+    return b"" if len(line) % 3 == 0 else line.replace(b" ", b"\n") + b"\n"
+
+
+def sequence_weights(n: int, m_eff: int) -> dict[int, list[tuple[tuple[int, ...], int]]]:
+    """Each phase-2 sequence of each order with its weight, the product
+    of its parts' component pool sizes."""
+    sizes = [len(pool) for pool in _build_subtree_pools(n, m_eff)]
+    return {
+        k: [(seq, math.prod(sizes[s] for s in seq)) for seq in _phase2_sequences(k, m_eff)]
+        for k in range(3, n + 1)
+    }
+
+
 @pytest.fixture
 def recording_pools(monkeypatch):
     """The ``RecordingPool``s that runs start in the test, in order."""
@@ -485,12 +505,20 @@ class TestParallel:
             == generate_ti_trees(16).to_dict()
         )
 
-    def test_encoded_lines_match_serial_byte_for_byte(self):
+    @pytest.mark.parametrize("encoder", [graph6_line, sparse6_line, parent_list_line, awkward_line])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_encoded_lines_match_serial_byte_for_byte(self, encoder, workers):
+        # At n = 18 orders 17 and 18 are cut into 4 and 5 tasks, so many
+        # tasks carry lines; awkward_line's empty lines and inner
+        # newlines must come back exactly as the encoder made them.
         serial: list[bytes] = []
-        generate_ti_trees(14, None, lambda t: serial.append(parent_list_line(t)))
+        generate_ti_trees(18, None, lambda t: serial.append(encoder(t)))
         parallel: list[bytes] = []
-        generate_ti_trees(14, None, parallel.append, workers=2, encoder=parent_list_line)
+        generate_ti_trees(18, None, parallel.append, workers=workers, encoder=encoder)
+        assert all(type(line) is bytes for line in parallel)
         assert parallel == serial
+        if encoder is awkward_line:
+            assert b"" in serial and any(b"\n" in line for line in serial)
 
     def test_encoded_lines_with_one_worker_match_serial(self):
         serial: list[bytes] = []
@@ -508,10 +536,18 @@ class TestParallel:
     def test_no_more_workers_than_tasks(self, monkeypatch):
         # A fork-based pool starts every worker at the first task, so the
         # pool must never be asked for more workers than there are tasks.
-        # At n = 13 the 13 sequences make 12 tasks: (1, 2, 4, 5) and
-        # (1, 2, 3, 6) of order 13 share their first two parts.
+        # At n = 13 the heaviest of the 13 sequences weighs 18, and
+        # cutting each order at that weight makes 8 tasks.
         n = 13
-        tasks = sum(len({seq[:2] for seq in _phase2_sequences(k, n - 1)}) for k in range(3, n + 1))
+        weights = sequence_weights(n, n - 1)
+        heaviest = max(w for run in weights.values() for _, w in run)
+        tasks = 0
+        for run in weights.values():
+            load = heaviest + 1
+            for _, w in run:
+                load += w
+                if load > heaviest:
+                    tasks, load = tasks + 1, w
         requested: list[int] = []
 
         def capped_pool(*args, max_workers, **kwargs):
@@ -522,8 +558,9 @@ class TestParallel:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", capped_pool)
         assert generate_ti_trees(n, workers=64) == generate_ti_trees(n)
-        assert tasks == 12
-        assert requested == [12]
+        assert heaviest == 18
+        assert tasks == 8
+        assert requested == [8]
 
     def test_results_outstanding_stay_within_two_per_worker(self, recording_pools):
         # A reader that stalls holds back the workers instead of letting
@@ -546,22 +583,33 @@ class TestParallel:
         expected = [(k, seq) for k in range(3, n + 1) for seq in _phase2_sequences(k, m_eff)]
         assert [(k, seq) for k, run in pool.tasks for seq in run] == expected
 
-    def test_each_task_is_a_maximal_run_with_equal_first_two_parts(self, recording_pools):
+    @pytest.mark.parametrize("m", [None, 3])
+    def test_each_task_is_a_maximal_chunk_no_heavier_than_the_heaviest_sequence(self, recording_pools, m):
         n = 19
-        generate_ti_trees(n, workers=2)
+        generate_ti_trees(n, m, workers=2)
         [pool] = recording_pools
-        assert len(pool.tasks) < sum(len(run) for _, run in pool.tasks)
+        weights = sequence_weights(n, n - 1 if m is None else m)
+        weight = {(k, seq): w for k, run in weights.items() for seq, w in run}
+        heaviest = max(weight.values())
+        loads = []
         for k, run in pool.tasks:
-            assert run and {seq[:2] for seq in run} == {run[0][:2]}, (k, run)
-        for (k, run), (next_k, next_run) in itertools.pairwise(pool.tasks):
-            assert k != next_k or run[0][:2] != next_run[0][:2], (k, run, next_run)
+            assert run and all(sum(seq) == k - 1 for seq in run), (k, run)
+            loads.append(sum(weight[k, seq] for seq in run))
+            assert loads[-1] <= heaviest, (k, run)
+        assert len(pool.tasks) < sum(len(run) for _, run in pool.tasks)
+        for load, (k, _), (next_k, next_run) in zip(loads, pool.tasks, pool.tasks[1:]):
+            assert k != next_k or load + weight[k, next_run[0]] > heaviest, (k, next_run)
 
-    def test_a_single_task_runs_in_this_process(self, monkeypatch):
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_a_single_task_runs_in_this_process(self, monkeypatch, n):
+        # Below order 3 there are no phase-2 sequences at all, so no task.
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         lines: list[bytes] = []
-        census = generate_ti_trees(8, None, lines.append, workers=8, encoder=parent_list_line)
-        assert census.to_dict() == {1: 1, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 1, 8: 0}
-        assert len(lines) == 2
+        census = generate_ti_trees(n, None, lines.append, workers=8, encoder=parent_list_line)
+        expected = {1: 1, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 1, 8: 0}
+        assert census.to_dict() == {k: expected[k] for k in range(1, n + 1)}
+        assert lines.count(parent_list_line(SINGLE_VERTEX)) == 1
+        assert len(lines) == sum(census.counts)
