@@ -12,10 +12,14 @@ component pools is scanned.  The single vertex, the only TI tree of
 order below 3, is reported before the scan.
 
 The phase-2 scan never materializes failing joins.  For a fixed joined
-order k, the transmission of any vertex of a candidate differs from the
-new root's transmission by an offset that depends only on the subtree
-containing it, so each pool tree gets a bitmask of offsets and a
-candidate is TI exactly when the chosen masks are pairwise disjoint.
+order k, the transmission of any vertex of a candidate exceeds the new
+root's transmission by an offset that depends only on the subtree
+containing it: crossing an edge into a subtree of s vertices adds
+k - 2s (Zelinka 1968), and every subtree on the way has s < k/2
+vertices, so every offset is positive.  Each pool tree gets a bitmask
+of offsets and a candidate is TI, with the root as its unique minimum,
+exactly when the chosen masks are pairwise disjoint.  That is the one
+proof of TI: an emitted tree is joined only to build its parent array.
 
 The disjointness test is bit-sliced, as in the vertical bitsets of
 bit-parallel clique search (San Segundo, Rodriguez-Losada and Jimenez,
@@ -59,7 +63,6 @@ from .wti import SINGLE_VERTEX, WTITree, join_wti_trees
 
 __all__ = [
     "TICensus",
-    "is_ti_tree",
     "generate_ti_trees",
 ]
 
@@ -95,21 +98,6 @@ class TICensus:
 
     def to_dict(self) -> dict[int, int]:
         return dict(self.items())
-
-
-def is_ti_tree(tree: WTITree) -> bool:
-    """True iff the tree is a canonical TI form.
-
-    Requires all transmissions to be pairwise distinct, with the unique
-    minimum at the root.  Shifting level d up by n * (D - d), D the
-    depth, puts a vertex with doubled path sum q at bit n * D less its
-    excess n * d - q over the root.  A WTI level has as many bits as
-    vertices, so the union has n bits iff the values are distinct, and
-    no bit above the root's, n * D, iff the root is the minimum.
-    """
-    n, depth = tree.order, len(tree.levels) - 1
-    union = reduce(or_, (bits << n * (depth - d) for d, bits in enumerate(tree.levels)))
-    return union.bit_count() == n and union >> n * depth == 1
 
 
 # ----------------------------------------------------------------------
@@ -192,8 +180,9 @@ class OrderPool(NamedTuple):
     entry per possible offset, all below k * k (a vertex at level l < c of
     a tree of order c < k/2 has offset at most k - 2c + l(k - 2)).
     ``full`` has bit j set iff tree j can take part in a TI join of order
-    k: all its offsets are positive (no vertex ties or undercuts the root)
-    and pairwise distinct.
+    k: its offsets are pairwise distinct.  The order must exceed 2c, as
+    every phase-2 order does; then every offset is positive (see the
+    module docstring), so no vertex ties or undercuts the root.
     """
 
     table: KeyTable
@@ -203,17 +192,14 @@ class OrderPool(NamedTuple):
 
 
 def _order_pool(table: KeyTable, joined_order: int) -> OrderPool:
-    """Re-index a key table for one joined order: one OR per key."""
+    """Re-index a key table for one joined order k > 2c: one OR per key."""
     offsets = [a + m * joined_order for a, m in table.keys]
     columns = [0] * (joined_order * joined_order)
     invalid = 0
     for b, members in zip(offsets, table.members):
-        if b <= 0:
-            invalid |= members
-        else:
-            # A tree already in the column has another vertex at offset b.
-            invalid |= columns[b] & members
-            columns[b] |= members
+        # A tree already in the column has another vertex at offset b.
+        invalid |= columns[b] & members
+        columns[b] |= members
     return OrderPool(table, offsets, columns, ((1 << table.size) - 1) & ~invalid)
 
 
@@ -222,10 +208,10 @@ class _ClashRows(dict):
 
     Entry j is the OR of the later part's columns at the offsets of tree
     j of the earlier part: the later trees that clash with tree j.  A
-    missing entry is computed on lookup, from ``key_columns`` (the later
-    part's column at the offset of each key of the earlier part), and is
-    stored only when ``keep`` is set, so what is cached never changes a
-    result.
+    missing entry is computed on lookup, from ``key_columns``, the later
+    part's column at the offset of each key of the earlier part (every
+    such offset is positive), and is stored only when ``keep`` is set, so
+    what is cached never changes a result.
     """
 
     __slots__ = ("key_columns", "tree_keys", "c", "keep")
@@ -233,8 +219,7 @@ class _ClashRows(dict):
     def __init__(self, earlier: OrderPool, later: OrderPool) -> None:
         super().__init__()
         columns = later.columns
-        # A key at an offset <= 0 belongs only to trees that are never chosen.
-        self.key_columns = [columns[b] if b > 0 else 0 for b in earlier.offsets]
+        self.key_columns = [columns[b] for b in earlier.offsets]
         self.tree_keys = earlier.table.tree_keys
         self.c = earlier.table.order
         self.keep = True
@@ -273,6 +258,10 @@ def _scan_sequence(
     from those of the trees chosen before it.  The last coordinate of a
     counting run costs one ``bit_count()``; emission walks the allowed
     indices in increasing order, so trees arrive in pool order.
+
+    A reachable tuple is TI by that alone, so emission joins the chosen
+    trees only to build the tree passed to ``func``; a join that returns
+    None would mean wrong masks and raises RuntimeError.
     """
     count = 0
     last = len(pools) - 1
@@ -288,7 +277,7 @@ def _scan_sequence(
                 count += 1
                 chosen[i] = trees[j]
                 joined = join_wti_trees(chosen)
-                if joined is None or not is_ti_tree(joined):
+                if joined is None:
                     raise RuntimeError(f"offset masks admitted a non-TI join of order {k}")
                 func(joined)
         elif i == last - 1 and func is None:

@@ -2,12 +2,15 @@
 
 Nothing in the package needs these.  The decoders are written apart
 from the encoders, which work on parent arrays, so a round trip through
-them checks the encoders; the WTI invariant checker and the rooted-tree
-and Prufer enumerations are the oracle's second opinions.
+them checks the encoders; the TI test re-checks what the phase-2 scan
+emits; the WTI invariant checker and the rooted-tree and Prufer
+enumerations are the oracle's second opinions.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Callable, NamedTuple, Sequence
 
 from titrees.oracle import (
@@ -176,6 +179,21 @@ def get_max_degree(tree: WTITree) -> tuple[int, int]:
 def level_sets(tree: WTITree) -> list[set[int]]:
     """The doubled path sums of each level, read off the level bitsets."""
     return [{t for t in range(bits.bit_length()) if bits >> t & 1} for bits in tree.levels]
+
+
+def is_ti_tree(tree: WTITree) -> bool:
+    """True iff the tree is a canonical TI form.
+
+    Requires all transmissions to be pairwise distinct, with the unique
+    minimum at the root.  Shifting level d up by n * (D - d), D the
+    depth, puts a vertex with doubled path sum q at bit n * D less its
+    excess n * d - q over the root.  A WTI level has as many bits as
+    vertices, so the union has n bits iff the values are distinct, and
+    no bit above the root's, n * D, iff the root is the minimum.
+    """
+    n, depth = tree.order, len(tree.levels) - 1
+    union = reduce(or_, (bits << n * (depth - d) for d, bits in enumerate(tree.levels)))
+    return union.bit_count() == n and union >> n * depth == 1
 
 
 def validate_wti_tree(tree: WTITree) -> None:

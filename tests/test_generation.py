@@ -14,7 +14,7 @@ import pytest
 from conftest import adjacency_of
 from reference_join import reference_is_ti_tree, reference_join, reference_pool
 from reference_scan import _masked_collection, _scan_products, _sliced_pool
-from support import get_max_degree, level_transmissions, validate_wti_tree
+from support import get_max_degree, is_ti_tree, level_transmissions, validate_wti_tree
 from titrees import (
     canonical_form,
     generate_ti_trees,
@@ -33,7 +33,6 @@ from titrees.generation import (
     _phase2_sequences,
     _scan_order,
     _set_bits,
-    is_ti_tree,
 )
 from titrees.wti import SINGLE_VERTEX
 
@@ -270,17 +269,18 @@ class TestBitSlicedScanAgainstReference:
 class TestKeyTablesAgainstSlicing:
     @pytest.mark.parametrize("m", [None, 2, 3, 4])
     def test_columns_and_valid_trees_through_26(self, m):
-        # Every component order s of a run to 26 at every joined order up
-        # to 26, not only the phase-2 orders k > 2s: at k <= 2s offsets
-        # <= 0 make trees invalid too.
+        # Every component order s of a run to 26 at every phase-2 joined
+        # order k > 2s up to 26.  There every offset is positive, so a
+        # tree is invalid only when two of its vertices share an offset.
         n = 26
         subtrees = _build_subtree_pools(n, n - 1 if m is None else m)
         invalid_seen = False
         for s in range(1, len(subtrees)):
             table = _key_table(s, subtrees[s])
-            for k in range(s + 1, n + 1):
+            for k in range(2 * s + 1, n + 1):
                 ref = _sliced_pool(subtrees[s], k)
                 new = _order_pool(table, k)
+                assert all(b > 0 for b in new.offsets), (s, k)
                 valid = list(_set_bits(new.full))
                 assert [subtrees[s][j] for j in valid] == ref.trees, (s, k)
                 invalid_seen |= len(valid) < len(subtrees[s])
@@ -292,7 +292,9 @@ class TestKeyTablesAgainstSlicing:
                     for b in bits:
                         columns[b] |= 1 << j
                 assert [column & new.full for column in new.columns] == columns, (s, k)
-        assert invalid_seen
+        # At m = 2 every component is a path from its root, whose offsets
+        # grow along it, so only the other bounds have invalid trees.
+        assert invalid_seen == (m != 2)
 
 
 class TestKeyTablesBuiltOnce:
@@ -383,8 +385,17 @@ class TestEmission:
         generate_ti_trees(13, None, lambda t: second.append(t))
         assert first == second
 
+    @pytest.mark.parametrize("n, m", [(24, None), (22, 3)])
+    def test_every_emitted_tree_is_ti(self, n, m):
+        # The scan proves TI by its offset masks alone and emits without
+        # a second test, so this one re-checks every tree it emits.
+        checked = collections.Counter()
+        census = generate_ti_trees(n, m, lambda tree: checked.update([is_ti_tree(tree)]))
+        assert checked == {True: census.total()}
+
     def test_non_ti_join_is_an_error_not_an_assert(self, monkeypatch):
-        monkeypatch.setattr("titrees.generation.is_ti_tree", lambda tree: False)
+        # Only the phase-2 joins: phase 1 calls its own binding.
+        monkeypatch.setattr(generation, "join_wti_trees", lambda children: None)
         with pytest.raises(RuntimeError):
             generate_ti_trees(9, None, lambda t: None)
 

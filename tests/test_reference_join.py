@@ -1,7 +1,7 @@
 """Differential tests: the bitset kernels against the list-based reference.
 
-``titrees.wti.join_wti_trees`` and ``titrees.generation.is_ti_tree``
-work on one int bitset of doubled path sums per level, and
+``titrees.wti.join_wti_trees`` and ``support.is_ti_tree`` work on one
+int bitset of doubled path sums per level, and
 ``reference_scan._offset_mask`` on one of transmissions per level;
 ``reference_join.py`` keeps the seed kernels, which work value by value
 on per-level lists of transmissions.  Both pools are grown side by side
@@ -22,10 +22,10 @@ from reference_join import (
     reference_offset_mask,
 )
 from reference_scan import _offset_mask
-from support import level_sets
+from support import is_ti_tree, level_sets
 from titrees import generate_wti_trees, join_wti_trees
 from titrees.enumeration import generate_increasing
-from titrees.generation import _phase2_sequences, is_ti_tree
+from titrees.generation import _phase2_sequences
 from titrees.wti import SINGLE_VERTEX
 
 MAX_POOL_ORDER = 13
