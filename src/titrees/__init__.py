@@ -8,9 +8,8 @@ brute-force oracle based on plain breadth-first searches provides
 independent verification.
 """
 
-from .enumeration import generate_wti_trees
 from .formats import graph6_line, parent_list_line, sparse6_line
-from .generation import TICensus, generate_ti_trees
+from .generation import generate_ti_trees
 from .oracle import (
     AdjacencyTree,
     canonical_form,
@@ -18,21 +17,18 @@ from .oracle import (
     is_ti_graph,
     transmissions_bfs,
 )
-from .wti import WTITree, join_wti_trees
+from .wti import WTITree
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdjacencyTree",
-    "TICensus",
     "WTITree",
     "canonical_form",
     "enumerate_free_trees",
     "generate_ti_trees",
-    "generate_wti_trees",
     "graph6_line",
     "is_ti_graph",
-    "join_wti_trees",
     "parent_list_line",
     "sparse6_line",
     "transmissions_bfs",

@@ -1,8 +1,7 @@
 """Command line entry point.
 
 Usage:
-    titrees <mode> <n_max> [m] [--threads T] [--deterministic]
-            [--verify-against-oracle] [--output PATH]
+    titrees <mode> <n_max> [m] [--threads T] [--output PATH]
 
 The mode comes first and is one of -c/count (per-order census), -g/graph6,
 -s/sparse6, -p/parent-list (one encoded tree per line) or verify (compare
@@ -93,17 +92,7 @@ def _build_parser() -> _Parser:
         # The CPUs this process may run on, which an affinity mask can
         # make fewer than the machine has.
         default=len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
-        help="worker processes for phase 2 (default: available parallelism)",
-    )
-    parser.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="single-process run, the same as --threads 1",
-    )
-    parser.add_argument(
-        "--verify-against-oracle",
-        action="store_true",
-        help="cross-check against brute-force enumeration (implies verify mode)",
+        help="worker processes for phase 2 (default: available parallelism); verify runs serially",
     )
     parser.add_argument(
         "--output",
@@ -148,13 +137,11 @@ def _run_verify(n_max: int, m: int | None, out: BinaryIO) -> int:
 
 
 def _run(args: argparse.Namespace, out: BinaryIO) -> int:
-    workers = 1 if args.deterministic else args.threads
-
     if args.mode == "verify":
         return _run_verify(args.n_max, args.m, out)
 
     if args.mode == "count":
-        census = generate_ti_trees(args.n_max, args.m, workers=workers)
+        census = generate_ti_trees(args.n_max, args.m, workers=args.threads)
         for order, count in census.items():
             out.write(f"{order} {count}\n".encode())
         return EXIT_OK
@@ -163,7 +150,7 @@ def _run(args: argparse.Namespace, out: BinaryIO) -> int:
         args.n_max,
         args.m,
         lambda line: out.write(line + b"\n"),
-        workers=workers,
+        workers=args.threads,
         encoder=_ENCODERS[args.mode],
     )
     return EXIT_OK
@@ -182,8 +169,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(f"m must be >= 2, got {args.m}")
     if args.threads < 1:
         parser.error(f"--threads must be >= 1, got {args.threads}")
-    if args.verify_against_oracle:
-        args.mode = "verify"
     if args.mode == "verify" and args.n_max > MAX_ENUMERATION_ORDER:
         parser.error(f"verify mode is limited to n_max <= {MAX_ENUMERATION_ORDER}")
 

@@ -50,54 +50,23 @@ from __future__ import annotations
 
 import signal
 from array import array
-from dataclasses import dataclass, field
 from collections import deque
 from functools import reduce
 from itertools import combinations, islice
 from math import prod
 from operator import or_
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .enumeration import IncreasingSequence, WTIPool, generate_increasing, generate_wti_trees
 from .wti import SINGLE_VERTEX, WTITree, join_wti_trees
 
-__all__ = [
-    "TICensus",
-    "generate_ti_trees",
-]
+__all__ = ["generate_ti_trees"]
 
 TreeCallback = Callable[[WTITree], None]
 
 # One parallel phase-2 task: a joined order and a contiguous chunk of its
 # root-subtree order sequences (see ``_tasks``).
 Task = tuple[int, list[IncreasingSequence]]
-
-
-@dataclass
-class TICensus:
-    """Per-order counts of emitted TI trees for orders 1..n_max."""
-
-    counts: list[int] = field(default_factory=lambda: [0])
-
-    @classmethod
-    def zeros(cls, n_max: int) -> "TICensus":
-        return cls([0] * (n_max + 1))
-
-    @property
-    def n_max(self) -> int:
-        return len(self.counts) - 1
-
-    def __getitem__(self, order: int) -> int:
-        return self.counts[order]
-
-    def items(self) -> Iterable[tuple[int, int]]:
-        return ((k, self.counts[k]) for k in range(1, len(self.counts)))
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def to_dict(self) -> dict[int, int]:
-        return dict(self.items())
 
 
 # ----------------------------------------------------------------------
@@ -391,14 +360,15 @@ def generate_ti_trees(
     *,
     workers: int = 1,
     encoder: Callable[[WTITree], bytes] | None = None,
-) -> TICensus:
+) -> dict[int, int]:
     """Generate every TI tree of order <= n and maximum degree <= m.
 
     Each tree is produced exactly once, in canonical representation, and
     passed to ``func`` when given, or ``encoder(tree)`` is passed when an
-    encoder is given; the returned census counts emitted trees per order.
-    ``m=None`` means unbounded degree.  Trees arrive by order, then by
-    root-subtree order sequence, then by tuple of components.
+    encoder is given.  The returned census is a dict that maps every
+    order 1..n, in increasing order, to its number of emitted trees, zero
+    included.  ``m=None`` means unbounded degree.  Trees arrive by order,
+    then by root-subtree order sequence, then by tuple of components.
 
     Phase 2 scans each order's sequences with ``_scan_order``: with
     ``workers == 1`` or a single task, in this process, one call per
@@ -423,9 +393,9 @@ def generate_ti_trees(
     if workers > 1 and func is not None and encoder is None:
         raise ValueError("emitting from more than one worker needs an encoder")
     m_eff = n - 1 if m is None else m
-    census = TICensus.zeros(n)
+    census = dict.fromkeys(range(1, n + 1), 0)
     emit = func if func is None or encoder is None else lambda tree: func(encoder(tree))
-    census.counts[1] = 1
+    census[1] = 1
     if emit is not None:
         emit(SINGLE_VERTEX)
     subtrees = _build_subtree_pools(n, m_eff)
@@ -443,7 +413,7 @@ def generate_ti_trees(
     workers = min(workers, len(tasks))
     if workers <= 1:
         for k, sequences in orders:
-            census.counts[k] += _scan_order(tables, k, sequences, emit)
+            census[k] += _scan_order(tables, k, sequences, emit)
         return census
 
     # Imported here: the process pool adds about 20 ms to the start-up
@@ -467,7 +437,7 @@ def generate_ti_trees(
         for k, _ in tasks:
             count, block, ends = window.popleft().result()
             window.extend(islice(submitted, 1))
-            census.counts[k] += count
+            census[k] += count
             start = 0
             for end in ends:
                 func(block[start:end])

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from support import to_edge_list
-from titrees import AdjacencyTree, WTITree, generate_wti_trees, join_wti_trees
-from titrees.wti import SINGLE_VERTEX
+from titrees import AdjacencyTree, WTITree
+from titrees.enumeration import generate_wti_trees
+from titrees.wti import SINGLE_VERTEX, join_wti_trees
 
 
 def adjacency_of(tree: WTITree) -> AdjacencyTree:

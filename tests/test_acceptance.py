@@ -29,14 +29,13 @@ from titrees import (
     cli,
     enumerate_free_trees,
     generate_ti_trees,
-    generate_wti_trees,
     graph6_line,
     is_ti_graph,
-    join_wti_trees,
     sparse6_line,
     transmissions_bfs,
 )
-from titrees.wti import SINGLE_VERTEX
+from titrees.enumeration import generate_wti_trees
+from titrees.wti import SINGLE_VERTEX, join_wti_trees
 
 KNOWN_TI_COUNTS = {
     1: 1, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 1, 8: 0, 9: 1, 10: 0,
@@ -62,7 +61,7 @@ def report(criterion: str, passed: bool, detail: str = "") -> None:
 def test_criterion_1_census_small(capsysbinary):
     """Count mode, n_max=15, unbounded degree: known counts for orders 1..15."""
     start = time.perf_counter()
-    status = cli.main(["-c", "15", "--deterministic"])
+    status = cli.main(["-c", "15", "--threads", "1"])
     out = capsysbinary.readouterr().out
     elapsed = time.perf_counter() - start
     expected = "".join(f"{k} {KNOWN_TI_COUNTS[k]}\n" for k in range(1, 16)).encode()
@@ -77,11 +76,11 @@ def test_criterion_1_census_small(capsysbinary):
 def test_criterion_2_census_medium(capsysbinary):
     """n_max=26 reproduces the known counts exactly through order 26."""
     start = time.perf_counter()
-    census = generate_ti_trees(26).to_dict()
+    census = generate_ti_trees(26)
     elapsed = time.perf_counter() - start
     expected = {k: KNOWN_TI_COUNTS[k] for k in range(1, 27)}
 
-    status = cli.main(["-c", "26", "--deterministic"])
+    status = cli.main(["-c", "26", "--threads", "1"])
     out = capsysbinary.readouterr().out
     expected_lines = "".join(f"{k} {KNOWN_TI_COUNTS[k]}\n" for k in range(1, 27)).encode()
     with capsysbinary.disabled():
@@ -95,7 +94,7 @@ def test_criterion_2_census_medium(capsysbinary):
 def test_criterion_3_census_stretch():
     """n_max=30 reproduces orders 29 and 30 exactly."""
     start = time.perf_counter()
-    census = generate_ti_trees(30).to_dict()
+    census = generate_ti_trees(30)
     elapsed = time.perf_counter() - start
     passed = census == {k: KNOWN_TI_COUNTS[k] for k in range(1, 31)}
     report(
@@ -198,11 +197,11 @@ def test_criterion_7_degree_cap():
     """census(n=20, m) is coordinatewise nondecreasing in m and reaches
     the unbounded census at m = 19."""
     n = 20
-    unbounded = generate_ti_trees(n).to_dict()
+    unbounded = generate_ti_trees(n)
     previous = None
     monotone = True
     for m in range(2, n):
-        current = generate_ti_trees(n, m).to_dict()
+        current = generate_ti_trees(n, m)
         if previous is not None and any(previous[k] > current[k] for k in current):
             monotone = False
         previous = current
@@ -231,13 +230,13 @@ def test_criterion_8_format_round_trips():
 def test_criterion_9_determinism_and_parallel(capsysbinary):
     """Deterministic runs are byte-identical; a parallel census equals the
     deterministic one for n_max = 24."""
-    cli.main(["-p", "20", "--deterministic"])
+    cli.main(["-p", "20", "--threads", "1"])
     first = capsysbinary.readouterr().out
-    cli.main(["-p", "20", "--deterministic"])
+    cli.main(["-p", "20", "--threads", "1"])
     second = capsysbinary.readouterr().out
 
-    serial = generate_ti_trees(24).to_dict()
-    parallel = generate_ti_trees(24, workers=2).to_dict()
+    serial = generate_ti_trees(24)
+    parallel = generate_ti_trees(24, workers=2)
     with capsysbinary.disabled():
         report(
             "9 determinism and parallel consistency",

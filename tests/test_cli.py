@@ -22,7 +22,7 @@ def run_cli(capsysbinary, *argv):
 
 class TestCountMode:
     def test_known_census_through_15(self, capsysbinary):
-        status, out = run_cli(capsysbinary, "-c", "15", "--deterministic")
+        status, out = run_cli(capsysbinary, "-c", "15", "--threads", "1")
         assert status == 0
         lines = out.decode().splitlines()
         assert lines == [
@@ -31,42 +31,42 @@ class TestCountMode:
         ]
 
     def test_no_thousands_separators(self, capsysbinary):
-        status, out = run_cli(capsysbinary, "count", "17", "--deterministic")
+        status, out = run_cli(capsysbinary, "count", "17", "--threads", "1")
         assert status == 0
         assert b"," not in out
         assert out.splitlines()[-1] == b"17 324"
 
     def test_long_mode_spelling(self, capsysbinary):
-        status, out = run_cli(capsysbinary, "--count", "7", "--deterministic")
+        status, out = run_cli(capsysbinary, "--count", "7", "--threads", "1")
         assert status == 0
         assert out.decode().splitlines()[6] == "7 1"
 
     def test_degree_bound_argument(self, capsysbinary):
-        status, out = run_cli(capsysbinary, "-c", "7", "2", "--deterministic")
+        status, out = run_cli(capsysbinary, "-c", "7", "2", "--threads", "1")
         assert status == 0
         assert out.decode().splitlines() == ["1 1"] + [f"{k} 0" for k in range(2, 8)]
 
 
 class TestEncodingModes:
     def test_parent_list_of_trivial_tree(self, capsysbinary):
-        status, out = run_cli(capsysbinary, "-p", "1", "--deterministic")
+        status, out = run_cli(capsysbinary, "-p", "1", "--threads", "1")
         assert status == 0
         assert out == b"\n"  # one empty line
 
     def test_line_counts_match_census(self, capsysbinary):
-        total = generate_ti_trees(13).total()
+        total = sum(generate_ti_trees(13).values())
         for mode in ("-g", "-s", "-p"):
-            status, out = run_cli(capsysbinary, mode, "13", "--deterministic")
+            status, out = run_cli(capsysbinary, mode, "13", "--threads", "1")
             assert status == 0
             assert len(out.splitlines()) == total
 
     def test_graph6_starts_with_trivial_tree(self, capsysbinary):
-        status, out = run_cli(capsysbinary, "-g", "7", "--deterministic")
+        status, out = run_cli(capsysbinary, "-g", "7", "--threads", "1")
         assert status == 0
         assert out.decode().splitlines()[0] == "@"
 
     def test_sparse6_lines_have_prefix(self, capsysbinary):
-        status, out = run_cli(capsysbinary, "-s", "11", "--deterministic")
+        status, out = run_cli(capsysbinary, "-s", "11", "--threads", "1")
         assert status == 0
         lines = out.splitlines()
         assert lines and all(line.startswith(b":") for line in lines)
@@ -74,19 +74,19 @@ class TestEncodingModes:
 
 class TestDeterminismAndParallel:
     def test_deterministic_runs_are_byte_identical(self, capsysbinary):
-        _, first = run_cli(capsysbinary, "-p", "15", "--deterministic")
-        _, second = run_cli(capsysbinary, "-p", "15", "--deterministic")
+        _, first = run_cli(capsysbinary, "-p", "15", "--threads", "1")
+        _, second = run_cli(capsysbinary, "-p", "15", "--threads", "1")
         assert first == second
 
     def test_parallel_output_matches_deterministic(self, capsysbinary):
         _, parallel = run_cli(capsysbinary, "-p", "14", "--threads", "2")
-        _, serial = run_cli(capsysbinary, "-p", "14", "--deterministic")
+        _, serial = run_cli(capsysbinary, "-p", "14", "--threads", "1")
         _, one_thread = run_cli(capsysbinary, "-p", "14", "--threads", "1")
         assert parallel == serial == one_thread
 
     def test_parallel_census_matches(self, capsysbinary):
         _, parallel = run_cli(capsysbinary, "-c", "16", "--threads", "2")
-        _, serial = run_cli(capsysbinary, "-c", "16", "--deterministic")
+        _, serial = run_cli(capsysbinary, "-c", "16", "--threads", "1")
         assert parallel == serial
 
     def test_default_threads_follow_the_affinity_mask(self, monkeypatch):
@@ -97,22 +97,20 @@ class TestDeterminismAndParallel:
 
 class TestVerifyMode:
     def test_agreement_through_10(self, capsysbinary):
-        status, out = run_cli(capsysbinary, "verify", "10", "--deterministic")
+        status, out = run_cli(capsysbinary, "verify", "10", "--threads", "1")
         assert status == 0
         lines = out.decode().splitlines()
         assert len(lines) == 10
         assert all("OK" in line for line in lines)
         assert lines[6] == "order 7: OK (1 trees)"
 
-    def test_flag_implies_verify(self, capsysbinary):
-        status, out = run_cli(
-            capsysbinary, "-c", "8", "--verify-against-oracle", "--deterministic"
-        )
+    def test_verify_reports_from_order_1(self, capsysbinary):
+        status, out = run_cli(capsysbinary, "verify", "8", "--threads", "1")
         assert status == 0
         assert out.decode().startswith("order 1: OK")
 
     def test_respects_degree_bound(self, capsysbinary):
-        status, out = run_cli(capsysbinary, "verify", "9", "3", "--deterministic")
+        status, out = run_cli(capsysbinary, "verify", "9", "3", "--threads", "1")
         assert status == 0
         assert all("OK" in line for line in out.decode().splitlines())
 
@@ -132,7 +130,7 @@ class TestVerifyMode:
             return real(n, m, filtered)
 
         monkeypatch.setattr(cli, "generate_ti_trees", lossy)
-        status, out = run_cli(capsysbinary, "verify", "8", "--deterministic")
+        status, out = run_cli(capsysbinary, "verify", "8", "--threads", "1")
         assert status == 2
         assert b"order 7: MISMATCH (generator 0, oracle 1)" in out
 
@@ -147,6 +145,8 @@ class TestUsageErrors:
             ["-c"],
             ["verify", "23"],
             ["-c", "5", "--threads", "0"],
+            ["-c", "5", "--deterministic"],
+            ["-c", "5", "--verify-against-oracle"],
         ],
     )
     def test_exit_code_1(self, capsysbinary, argv):
@@ -163,7 +163,7 @@ class TestUsageErrors:
 class TestOutputFile:
     def test_writes_file(self, tmp_path):
         target = tmp_path / "trees.g6"
-        status = cli.main(["-g", "9", "--deterministic", "--output", str(target)])
+        status = cli.main(["-g", "9", "--threads", "1", "--output", str(target)])
         assert status == 0
         assert target.read_bytes().decode().splitlines()[0] == "@"
 

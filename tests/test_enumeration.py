@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import ordered_encoding
 from support import enumerate_rooted_trees, validate_wti_tree
-from titrees import AdjacencyTree, generate_wti_trees, transmissions_bfs
-from titrees.enumeration import generate_increasing
+from titrees import AdjacencyTree, transmissions_bfs
+from titrees.enumeration import generate_increasing, generate_wti_trees
 
 
 def increasing_sequences(alpha: int, beta: int, gamma: int) -> list[tuple[int, ...]]:

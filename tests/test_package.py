@@ -14,15 +14,12 @@ README = ROOT / "README.md"
 
 LIBRARY = [
     "AdjacencyTree",
-    "TICensus",
     "WTITree",
     "canonical_form",
     "enumerate_free_trees",
     "generate_ti_trees",
-    "generate_wti_trees",
     "graph6_line",
     "is_ti_graph",
-    "join_wti_trees",
     "parent_list_line",
     "sparse6_line",
     "transmissions_bfs",

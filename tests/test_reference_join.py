@@ -23,10 +23,9 @@ from reference_join import (
 )
 from reference_scan import _offset_mask
 from support import is_ti_tree, level_sets
-from titrees import generate_wti_trees, join_wti_trees
-from titrees.enumeration import generate_increasing
+from titrees.enumeration import generate_increasing, generate_wti_trees
 from titrees.generation import _phase2_sequences
-from titrees.wti import SINGLE_VERTEX
+from titrees.wti import SINGLE_VERTEX, join_wti_trees
 
 MAX_POOL_ORDER = 13
 

@@ -18,8 +18,8 @@ import pytest
 import titrees
 from conftest import adjacency_of, levels_from_parents, subtree_sizes_from_parents
 from support import level_path_sums, level_sets, level_transmissions, validate_wti_tree
-from titrees import join_wti_trees, transmissions_bfs
-from titrees.wti import SINGLE_VERTEX
+from titrees import transmissions_bfs
+from titrees.wti import SINGLE_VERTEX, join_wti_trees
 
 
 def bfs_transmissions(tree):
