@@ -12,8 +12,7 @@ which is what makes agreement between the two paths meaningful evidence.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 __all__ = [
     "AdjacencyTree",
@@ -29,9 +28,10 @@ __all__ = [
 MAX_ENUMERATION_ORDER = 22
 
 
-@dataclass(frozen=True)
-class AdjacencyTree:
-    """Unrooted tree on labels 0..order-1 stored as adjacency lists."""
+class AdjacencyTree(NamedTuple):
+    """Unrooted tree on labels 0..order-1 stored as adjacency lists: an
+    immutable named tuple ``(order, adjacency)`` that indexes, unpacks and
+    compares like a tuple."""
 
     order: int
     adjacency: tuple[tuple[int, ...], ...]

@@ -21,8 +21,7 @@ per child level, an AND to test for a repeated value and an OR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "WTITree",
@@ -31,16 +30,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class WTITree:
+class WTITree(NamedTuple):
     """Immutable ordered rooted tree with one path-sum bitset per level.
 
-    Vertices are labeled 0..order-1 with the root labeled 0 and every
-    child labeled after its parent, so ``parents[x] < x`` for x >= 1
-    (``parents[0]`` is an unused sentinel).  Bit q of ``levels[i]`` is
-    set iff some level-i vertex has doubled path sum q, so ``levels[0]``
-    is 1; a WTI level has as many bits as vertices.  Instances are safe
-    to share across threads and processes.
+    A named tuple ``(order, parents, levels)`` that indexes, unpacks and
+    compares like a tuple.  Vertices are labeled 0..order-1 with the root
+    labeled 0 and every child labeled after its parent, so
+    ``parents[x] < x`` for x >= 1 (``parents[0]`` is an unused sentinel).
+    Bit q of ``levels[i]`` is set iff some level-i vertex has doubled
+    path sum q, so ``levels[0]`` is 1; a WTI level has as many bits as
+    vertices.  Instances are safe to share across threads and processes.
     """
 
     order: int

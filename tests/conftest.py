@@ -15,21 +15,6 @@ def adjacency_of(tree: WTITree) -> AdjacencyTree:
     return AdjacencyTree.from_edges(tree.order, to_edge_list(tree))
 
 
-def levels_from_parents(tree: WTITree) -> list[int]:
-    """Level of every vertex, derived from the parent array alone."""
-    level = [0] * tree.order
-    for x in range(1, tree.order):
-        level[x] = level[tree.parents[x]] + 1
-    return level
-
-
-def subtree_sizes_from_parents(tree: WTITree) -> list[int]:
-    size = [1] * tree.order
-    for x in range(tree.order - 1, 0, -1):
-        size[tree.parents[x]] += size[x]
-    return size
-
-
 def ordered_encoding(tree: WTITree) -> bytes:
     """Parenthesized encoding of the ordered rooted tree, children in label order."""
     children: list[list[int]] = [[] for _ in range(tree.order)]

@@ -118,6 +118,22 @@ def decode_sparse6(data: bytes) -> tuple[int, list[Edge]]:
 # ----------------------------------------------------------------------
 
 
+def levels_from_parents(tree: WTITree) -> list[int]:
+    """Level of every vertex, derived from the parent array alone."""
+    level = [0] * tree.order
+    for x in range(1, tree.order):
+        level[x] = level[tree.parents[x]] + 1
+    return level
+
+
+def subtree_sizes_from_parents(tree: WTITree) -> list[int]:
+    """Size of every vertex's subtree, itself included, from the parent array alone."""
+    size = [1] * tree.order
+    for x in range(tree.order - 1, 0, -1):
+        size[tree.parents[x]] += size[x]
+    return size
+
+
 def level_transmissions(tree: WTITree) -> tuple[tuple[int, ...], ...]:
     """The transmissions of each level, in ascending label order.
 
@@ -126,12 +142,7 @@ def level_transmissions(tree: WTITree) -> tuple[tuple[int, ...], ...]:
     transmission by order - 2 * size(x).
     """
     n, parents = tree.order, tree.parents
-    size = [1] * n
-    for x in range(n - 1, 0, -1):
-        size[parents[x]] += size[x]
-    level = [0] * n
-    for x in range(1, n):
-        level[x] = level[parents[x]] + 1
+    size, level = subtree_sizes_from_parents(tree), levels_from_parents(tree)
     value = [sum(level)] * n
     grouped: list[list[int]] = [[value[0]]] + [[] for _ in range(max(level))]
     for x in range(1, n):
@@ -147,17 +158,11 @@ def level_path_sums(tree: WTITree) -> tuple[tuple[int, ...], ...]:
     plus its own subtree size, and the root's is 0.
     """
     n, parents = tree.order, tree.parents
-    size = [1] * n
-    for x in range(n - 1, 0, -1):
-        size[parents[x]] += size[x]
-    level = [0] * n
+    size, level = subtree_sizes_from_parents(tree), levels_from_parents(tree)
     value = [0] * n
-    grouped: list[list[int]] = [[0]]
+    grouped: list[list[int]] = [[0]] + [[] for _ in range(max(level))]
     for x in range(1, n):
-        level[x] = level[parents[x]] + 1
         value[x] = value[parents[x]] + 2 * size[x]
-        if level[x] == len(grouped):
-            grouped.append([])
         grouped[level[x]].append(value[x])
     return tuple(map(tuple, grouped))
 

@@ -13,14 +13,16 @@ import itertools
 import time
 from collections import Counter
 
-from conftest import adjacency_of, levels_from_parents, subtree_sizes_from_parents
+from conftest import adjacency_of
 from support import (
     decode_graph6,
     decode_sparse6,
     level_path_sums,
     level_sets,
     level_transmissions,
+    levels_from_parents,
     prufer_to_edges,
+    subtree_sizes_from_parents,
     to_edge_list,
 )
 from titrees import (

@@ -222,8 +222,10 @@ class TestInterrupt:
 class TestStartUp:
     def test_a_serial_run_imports_no_process_pool(self, monkeypatch):
         # The process pool's modules add about 20 ms to start-up, so
-        # generate_ti_trees imports them only for a parallel run.  Python
-        # lists every module it imports on stderr under this variable.
+        # generate_ti_trees imports them only for a parallel run; the tree
+        # records are named tuples, so dataclasses (and the inspect it
+        # pulls in) never loads.  A bare interpreter imports none of these.
+        # Python lists every module it imports on stderr under this variable.
         monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
         proc = start_cli("-c", "12", "--threads", "1", stdout=subprocess.PIPE)
         out, err = proc.communicate(timeout=60)
@@ -231,4 +233,4 @@ class TestStartUp:
         assert out.splitlines()[-1] == b"12 0"
         imported = {line.rsplit(b"|", 1)[-1].strip() for line in err.splitlines()}
         assert b"titrees.generation" in imported
-        assert not {b"multiprocessing", b"concurrent.futures"} & imported
+        assert not {b"multiprocessing", b"concurrent.futures", b"dataclasses", b"inspect"} & imported

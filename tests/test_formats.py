@@ -11,13 +11,14 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
-from conftest import adjacency_of, levels_from_parents
+from conftest import adjacency_of
 from support import (
     ParentArray,
     chain_edges,
     decode_graph6,
     decode_sparse6,
     level_transmissions,
+    levels_from_parents,
     parent_array,
     star_edges,
     to_edge_list,

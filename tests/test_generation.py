@@ -6,6 +6,7 @@ import collections
 import concurrent.futures
 import itertools
 import math
+import multiprocessing
 import os
 import random
 
@@ -520,6 +521,28 @@ class TestParallel:
         assert parallel == serial
         if encoder is awkward_line:
             assert b"" in serial and any(b"\n" in line for line in serial)
+
+    def test_spawn_fallback_matches_serial(self, monkeypatch):
+        # Where fork is missing, get_context("fork") raises ValueError and
+        # the run takes the default context, spawn on those platforms.  A
+        # spawned worker gets the key tables, their trees and the encoder
+        # pickled through the pool's initargs.
+        real = multiprocessing.get_context
+        asked: list[str | None] = []
+
+        def no_fork(method=None):
+            asked.append(method)
+            if method == "fork":
+                raise ValueError("cannot find context for 'fork'")
+            return real("spawn" if method is None else method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        serial: list[bytes] = []
+        census = generate_ti_trees(18, None, lambda t: serial.append(graph6_line(t)))
+        spawned: list[bytes] = []
+        assert generate_ti_trees(18, None, spawned.append, workers=2, encoder=graph6_line) == census
+        assert asked == ["fork", None]
+        assert spawned == serial
 
     def test_encoded_lines_with_one_worker_match_serial(self):
         serial: list[bytes] = []

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import ast
 import importlib
+import pickle
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import titrees
+from titrees import AdjacencyTree
+from titrees.wti import SINGLE_VERTEX, join_wti_trees
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -55,3 +60,25 @@ def test_no_module_relies_on_assert():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {found}"
+
+
+@pytest.mark.parametrize(
+    "record, fields",
+    [
+        (join_wti_trees([SINGLE_VERTEX, join_wti_trees([SINGLE_VERTEX])]), ("order", "parents", "levels")),
+        (AdjacencyTree.from_edges(3, [(0, 1), (1, 2)]), ("order", "adjacency")),
+    ],
+    ids=["WTITree", "AdjacencyTree"],
+)
+def test_tree_records_are_immutable_named_tuples(record, fields):
+    assert type(record)._fields == fields
+    assert tuple(record) == tuple(getattr(record, name) for name in fields)
+    assert type(record)(**dict(zip(fields, record))) == record
+    with pytest.raises(AttributeError):
+        record.order = record.order + 1
+    with pytest.raises(AttributeError):
+        record.extra = None
+    assert not hasattr(record, "__dict__")
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record)
+    assert copy == record

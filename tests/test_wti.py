@@ -16,8 +16,15 @@ from pathlib import Path
 import pytest
 
 import titrees
-from conftest import adjacency_of, levels_from_parents, subtree_sizes_from_parents
-from support import level_path_sums, level_sets, level_transmissions, validate_wti_tree
+from conftest import adjacency_of
+from support import (
+    level_path_sums,
+    level_sets,
+    level_transmissions,
+    levels_from_parents,
+    subtree_sizes_from_parents,
+    validate_wti_tree,
+)
 from titrees import transmissions_bfs
 from titrees.wti import SINGLE_VERTEX, join_wti_trees
 
