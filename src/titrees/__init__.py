@@ -2,10 +2,12 @@
 
 The generator builds weakly transmission irregular rooted trees bottom
 up, tracking each vertex's path sum (the subtree sizes on its path from
-the root), from which its transmission relative to the root follows,
-and filters for the trees whose transmissions are globally distinct; a
-brute-force oracle based on plain breadth-first searches provides
-independent verification.
+the root), from which its transmission relative to the root follows.
+It then constructs the TI trees directly from these components: a
+bitmask test picks the combinations whose transmissions are globally
+distinct, and no failing combination is ever joined.  A brute-force
+oracle based on plain breadth-first searches provides independent
+verification.
 """
 
 from .formats import graph6_line, parent_list_line, sparse6_line

@@ -146,13 +146,7 @@ def _run(args: argparse.Namespace, out: BinaryIO) -> int:
             out.write(f"{order} {count}\n".encode())
         return EXIT_OK
 
-    generate_ti_trees(
-        args.n_max,
-        args.m,
-        lambda line: out.write(line + b"\n"),
-        workers=args.threads,
-        encoder=_ENCODERS[args.mode],
-    )
+    generate_ti_trees(args.n_max, args.m, out.write, workers=args.threads, encoder=_ENCODERS[args.mode])
     return EXIT_OK
 
 

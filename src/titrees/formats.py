@@ -2,8 +2,11 @@
 
 Every encoder reads only ``tree.order`` and ``tree.parents``, the parent
 array with ``parents[x] < x`` that the generator emits, so the edges of a
-tree are (parents[x], x) for x = 1..n-1.  graph6 and sparse6 follow the
-published format description (McKay, formats.txt) byte for byte.
+tree are (parents[x], x) for x = 1..n-1.  Each returns one whole line,
+ended by ``b"\n"``, so a stream of trees is the concatenation of their
+lines.  graph6 and sparse6 follow the published format description
+(McKay, formats.txt) byte for byte, as networkx's ``to_graph6_bytes`` and
+``to_sparse6_bytes`` with ``header=False`` write them.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ def graph6_line(tree: WTITree) -> bytes:
     for x in range(1, n):
         pos = x * (x - 1) // 2 + parents[x]
         groups[pos // 6] |= 32 >> pos % 6
-    return _encode_order(n) + groups.translate(_PRINTABLE)
+    return _encode_order(n) + groups.translate(_PRINTABLE) + b"\n"
 
 
 def sparse6_line(tree: WTITree) -> bytes:
@@ -73,9 +76,9 @@ def sparse6_line(tree: WTITree) -> bytes:
     if width:
         pad = 6 - width
         groups.append(pending << pad | (1 << pad) - 1)
-    return b":" + _encode_order(n) + groups.translate(_PRINTABLE)
+    return b":" + _encode_order(n) + groups.translate(_PRINTABLE) + b"\n"
 
 
 def parent_list_line(tree: WTITree) -> bytes:
-    """One text line with the parents of vertices 1..n-1; empty for K1."""
-    return " ".join(map(str, tree.parents[1:])).encode("ascii")
+    """One text line with the parents of vertices 1..n-1; just the newline for K1."""
+    return (" ".join(map(str, tree.parents[1:])) + "\n").encode("ascii")

@@ -364,11 +364,14 @@ def generate_ti_trees(
     """Generate every TI tree of order <= n and maximum degree <= m.
 
     Each tree is produced exactly once, in canonical representation, and
-    passed to ``func`` when given, or ``encoder(tree)`` is passed when an
-    encoder is given.  The returned census is a dict that maps every
-    order 1..n, in increasing order, to its number of emitted trees, zero
-    included.  ``m=None`` means unbounded degree.  Trees arrive by order,
-    then by root-subtree order sequence, then by tuple of components.
+    passed to ``func`` when given.  With an encoder, ``func`` receives
+    bytes instead: the calls concatenate to ``encoder(tree)`` of every
+    tree in emission order, one call per tree in a serial run and at
+    most one per task in a parallel one.  The returned census is a dict
+    that maps every order 1..n, in increasing order, to its number of
+    emitted trees, zero included.  ``m=None`` means unbounded degree.
+    Trees arrive by order, then by root-subtree order sequence, then by
+    tuple of components.
 
     Phase 2 scans each order's sequences with ``_scan_order``: with
     ``workers == 1`` or a single task, in this process, one call per
@@ -377,12 +380,12 @@ def generate_ti_trees(
     ``_tasks``), and the tasks run on a pool of at most ``workers``
     processes and no more than one per task (CPython threads would
     serialize on the interpreter lock).  The workers encode their trees
-    and send each task's lines back as one buffer with the end offset of
-    each line, so any encoder's bytes come back intact.  At most two
-    tasks per worker are submitted and not yet passed on, so a slow
-    reader holds back the workers rather than filling memory.  The lines
-    are passed on in task order, so the output is the same for any worker
-    count; emitting from workers therefore needs an encoder.
+    and send each task's encodings back end to end as one block, which
+    is passed to ``func`` as it is.  At most two tasks per worker are
+    submitted and not yet passed on, so a slow reader holds back the
+    workers rather than filling memory.  The blocks are passed on in
+    task order, so the output is the same for any worker count; emitting
+    from workers therefore needs an encoder.
     """
     if n < 1:
         raise ValueError(f"order bound must be >= 1, got {n}")
@@ -435,13 +438,11 @@ def generate_ti_trees(
         submitted = (executor.submit(_worker_task, task) for task in tasks)
         window = deque(islice(submitted, 2 * workers))
         for k, _ in tasks:
-            count, block, ends = window.popleft().result()
+            count, block = window.popleft().result()
             window.extend(islice(submitted, 1))
             census[k] += count
-            start = 0
-            for end in ends:
-                func(block[start:end])
-                start = end
+            if block:
+                func(block)
     finally:
         # On an interrupt or a closed pipe, drop the tasks not yet started
         # instead of running the rest of the list.
@@ -461,17 +462,12 @@ def _worker_init(tables: dict[int, KeyTable], encoder: Callable[[WTITree], bytes
     _worker_tables, _worker_encoder = tables, encoder
 
 
-def _worker_task(task: Task) -> tuple[int, bytes, array]:
-    """Scan one task: its count, its encoded lines end to end in one
-    block, and the end offset of each line in the block."""
+def _worker_task(task: Task) -> tuple[int, bytes]:
+    """Scan one task: its count and its trees' encodings end to end."""
     k, sequences = task
-    block, ends = bytearray(), array("Q")
-
-    def emit(tree: WTITree) -> None:
-        block.extend(_worker_encoder(tree))
-        ends.append(len(block))
-
-    count = _scan_order(_worker_tables, k, sequences, None if _worker_encoder is None else emit)
+    block = bytearray()
+    emit = None if _worker_encoder is None else lambda tree: block.extend(_worker_encoder(tree))
+    count = _scan_order(_worker_tables, k, sequences, emit)
     # Sent as bytes: pickle protocol 4 sends a bytearray through a bytes
     # copy, one more copy of the block in each process.
-    return count, bytes(block), ends
+    return count, bytes(block)

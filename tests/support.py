@@ -83,13 +83,16 @@ def decode_graph6(data: bytes) -> tuple[int, list[Edge]]:
 
 
 def decode_sparse6(data: bytes) -> tuple[int, list[Edge]]:
-    """Invert :func:`titrees.formats.sparse6_line`; returns (order, sorted edge list)."""
+    """Invert :func:`titrees.formats.sparse6_line`; returns (order, sorted edge list).
+
+    The line's terminating newline, if any, is not part of the edge stream.
+    """
     if not data.startswith(b":"):
         raise ValueError("sparse6 data must start with ':'")
     order, start = _decode_order(data[1:])
     k = max(1, (order - 1).bit_length())
     bits: list[int] = []
-    for byte in data[1 + start:]:
+    for byte in data[1 + start:].removesuffix(b"\n"):
         value = byte - 63
         bits.extend(value >> (5 - j) & 1 for j in range(6))
 

@@ -212,10 +212,10 @@ def test_criterion_7_degree_cap():
 
 def test_criterion_8_format_round_trips():
     """Both decoders recover the edge set of every TI tree of order <= 14;
-    the '@' and 'A_' literals hold."""
+    the '@' and 'A_' lines hold."""
     literals_ok = (
-        graph6_line(SINGLE_VERTEX) == b"@"
-        and graph6_line(join_wti_trees([SINGLE_VERTEX])) == b"A_"
+        graph6_line(SINGLE_VERTEX) == b"@\n"
+        and graph6_line(join_wti_trees([SINGLE_VERTEX])) == b"A_\n"
     )
     trees = []
     generate_ti_trees(14, None, trees.append)

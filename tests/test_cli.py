@@ -71,6 +71,14 @@ class TestEncodingModes:
         lines = out.splitlines()
         assert lines and all(line.startswith(b":") for line in lines)
 
+    def test_readme_parent_list_example(self, capsysbinary):
+        # README "Examples" shows the last line of `titrees -p 11`.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        expected = readme.split("$ titrees -p 11 | tail -1\n", 1)[1].split("\n", 1)[0]
+        status, out = run_cli(capsysbinary, "-p", "11")
+        assert status == 0
+        assert out.decode().splitlines()[-1] == expected
+
 
 class TestDeterminismAndParallel:
     def test_deterministic_runs_are_byte_identical(self, capsysbinary):
@@ -78,11 +86,14 @@ class TestDeterminismAndParallel:
         _, second = run_cli(capsysbinary, "-p", "15", "--threads", "1")
         assert first == second
 
-    def test_parallel_output_matches_deterministic(self, capsysbinary):
-        _, parallel = run_cli(capsysbinary, "-p", "14", "--threads", "2")
-        _, serial = run_cli(capsysbinary, "-p", "14", "--threads", "1")
-        _, one_thread = run_cli(capsysbinary, "-p", "14", "--threads", "1")
-        assert parallel == serial == one_thread
+    @pytest.mark.parametrize("mode", ["-g", "-s", "-p"])
+    def test_parallel_output_matches_deterministic(self, capsysbinary, mode):
+        # At n = 18 orders 17 and 18 are cut into 4 and 5 tasks, each
+        # written as one block.
+        _, parallel = run_cli(capsysbinary, mode, "18", "--threads", "2")
+        _, serial = run_cli(capsysbinary, mode, "18", "--threads", "1")
+        assert parallel == serial
+        assert len(serial.splitlines()) == sum(generate_ti_trees(18).values())
 
     def test_parallel_census_matches(self, capsysbinary):
         _, parallel = run_cli(capsysbinary, "-c", "16", "--threads", "2")
@@ -166,6 +177,13 @@ class TestOutputFile:
         status = cli.main(["-g", "9", "--threads", "1", "--output", str(target)])
         assert status == 0
         assert target.read_bytes().decode().splitlines()[0] == "@"
+
+    def test_parallel_file_matches_serial_stdout(self, tmp_path, capsysbinary):
+        target = tmp_path / "trees.s6"
+        assert cli.main(["-s", "18", "--threads", "2", "--output", str(target)]) == 0
+        status, serial = run_cli(capsysbinary, "-s", "18", "--threads", "1")
+        assert status == 0
+        assert target.read_bytes() == serial
 
     def test_unwritable_path_exits_3(self, tmp_path, capsys):
         status = cli.main(

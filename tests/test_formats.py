@@ -59,10 +59,10 @@ class TestToEdgeList:
 
 class TestGraph6:
     def test_single_vertex_literal(self):
-        assert graph6_line(SINGLE_VERTEX) == b"@"
+        assert graph6_line(SINGLE_VERTEX) == b"@\n"
 
     def test_single_edge_literal(self, chains):
-        assert graph6_line(chains[2]) == b"A_"
+        assert graph6_line(chains[2]) == b"A_\n"
 
     def test_format_tag(self, chains):
         # The format travels in the bytes: only sparse6 starts with ':'.
@@ -79,7 +79,7 @@ class TestGraph6:
         for k in range(1, 11):
             for tree in pool12[k]:
                 graph = nx_graph(k, to_edge_list(tree))
-                expected = nx.to_graph6_bytes(graph, header=False).strip()
+                expected = nx.to_graph6_bytes(graph, header=False)
                 assert graph6_line(tree) == expected
 
     def test_multibyte_order_field(self):
@@ -89,8 +89,8 @@ class TestGraph6:
         graph = nx_graph(63, edges)
         g6, s6 = graph6_line(tree), sparse6_line(tree)
         assert g6[:1] == bytes([126]) and s6[:2] == b":~"
-        assert g6 == nx.to_graph6_bytes(graph, header=False).strip()
-        assert s6 == nx.to_sparse6_bytes(graph, header=False).strip()
+        assert g6 == nx.to_graph6_bytes(graph, header=False)
+        assert s6 == nx.to_sparse6_bytes(graph, header=False)
         assert decode_graph6(g6) == decode_sparse6(s6) == (63, edges)
 
     def test_order_out_of_range(self):
@@ -104,7 +104,7 @@ class TestGraph6:
 class TestSparse6:
     def test_single_vertex(self):
         enc = sparse6_line(SINGLE_VERTEX)
-        assert enc == b":@"
+        assert enc == b":@\n"
         assert decode_sparse6(enc) == (1, [])
 
     def test_round_trip_pool_trees(self, pool12):
@@ -116,7 +116,7 @@ class TestSparse6:
         for k in range(1, 11):
             for tree in pool12[k]:
                 graph = nx_graph(k, to_edge_list(tree))
-                expected = nx.to_sparse6_bytes(graph, header=False).strip()
+                expected = nx.to_sparse6_bytes(graph, header=False)
                 assert sparse6_line(tree) == expected
 
     @pytest.mark.parametrize(
@@ -130,9 +130,9 @@ class TestSparse6:
         # is authoritative for both formats.
         tree = parent_array(order, edges)
         graph = nx_graph(order, edges)
-        assert graph6_line(tree) == nx.to_graph6_bytes(graph, header=False).strip()
+        assert graph6_line(tree) == nx.to_graph6_bytes(graph, header=False)
         mine = sparse6_line(tree)
-        assert mine == nx.to_sparse6_bytes(graph, header=False).strip()
+        assert mine == nx.to_sparse6_bytes(graph, header=False)
         assert decode_sparse6(mine) == (order, sorted(edges))
 
     def test_cross_format_agreement_on_ti_trees(self):
@@ -151,19 +151,20 @@ class TestPrintableRange:
         for k in range(1, 13):
             for tree in pool12[k]:
                 for enc in (graph6_line(tree), sparse6_line(tree)):
-                    payload = enc[1:] if enc.startswith(b":") else enc
+                    assert enc.endswith(b"\n")
+                    payload = enc[1:-1] if enc.startswith(b":") else enc[:-1]
                     assert all(63 <= byte <= 126 for byte in payload)
 
 
 class TestParentList:
     def test_single_vertex_empty_line(self):
-        assert parent_list_line(SINGLE_VERTEX) == b""
+        assert parent_list_line(SINGLE_VERTEX) == b"\n"
 
     def test_two_vertex_tree(self, chains):
-        assert parent_list_line(chains[2]) == b"0"
+        assert parent_list_line(chains[2]) == b"0\n"
 
     def test_spider_labels(self, spider7):
-        assert parent_list_line(spider7) == b"0 0 2 0 4 5"
+        assert parent_list_line(spider7) == b"0 0 2 0 4 5\n"
 
     def test_reparses_to_matching_transmissions(self, pool12):
         # Parse the line back into a parent array, rebuild the tree, and

@@ -474,8 +474,8 @@ class Outstanding:
 
 
 def awkward_line(tree) -> bytes:
-    """An encoder whose lines a separator cannot frame: some are empty,
-    the others hold newlines of their own."""
+    """An encoder whose output no separator frames: some encodings are
+    empty, the others hold newlines of their own."""
     line = parent_list_line(tree)
     return b"" if len(line) % 3 == 0 else line.replace(b" ", b"\n") + b"\n"
 
@@ -511,14 +511,14 @@ class TestParallel:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_encoded_lines_match_serial_byte_for_byte(self, encoder, workers):
         # At n = 18 orders 17 and 18 are cut into 4 and 5 tasks, so many
-        # tasks carry lines; awkward_line's empty lines and inner
+        # tasks carry trees; awkward_line's empty encodings and inner
         # newlines must come back exactly as the encoder made them.
         serial: list[bytes] = []
         generate_ti_trees(18, None, lambda t: serial.append(encoder(t)))
         parallel: list[bytes] = []
         generate_ti_trees(18, None, parallel.append, workers=workers, encoder=encoder)
-        assert all(type(line) is bytes for line in parallel)
-        assert parallel == serial
+        assert all(type(block) is bytes for block in parallel)
+        assert b"".join(parallel) == b"".join(serial)
         if encoder is awkward_line:
             assert b"" in serial and any(b"\n" in line for line in serial)
 
@@ -542,9 +542,10 @@ class TestParallel:
         spawned: list[bytes] = []
         assert generate_ti_trees(18, None, spawned.append, workers=2, encoder=graph6_line) == census
         assert asked == ["fork", None]
-        assert spawned == serial
+        assert b"".join(spawned) == b"".join(serial)
 
     def test_encoded_lines_with_one_worker_match_serial(self):
+        # One worker runs in this process and passes on one call per tree.
         serial: list[bytes] = []
         generate_ti_trees(14, None, lambda t: serial.append(parent_list_line(t)))
         encoded: list[bytes] = []
@@ -588,12 +589,25 @@ class TestParallel:
         # the lines of finished tasks pile up in this process.
         serial: list[bytes] = []
         generate_ti_trees(16, None, lambda t: serial.append(parent_list_line(t)))
-        lines: list[bytes] = []
-        generate_ti_trees(16, None, lines.append, workers=2, encoder=parent_list_line)
-        assert lines == serial
+        blocks: list[bytes] = []
+        generate_ti_trees(16, None, blocks.append, workers=2, encoder=parent_list_line)
+        assert b"".join(blocks) == b"".join(serial)
         [pool] = recording_pools
         assert len(pool.tasks) > pool.limit == 4
         assert pool.peak == pool.limit
+
+    def test_each_task_reaches_func_in_at_most_one_call(self, recording_pools):
+        # The single vertex is one call of its own; each task's encodings
+        # come back as one block, passed on whole and only when non-empty.
+        serial: list[bytes] = []
+        census = generate_ti_trees(18, None, lambda t: serial.append(graph6_line(t)))
+        blocks: list[bytes] = []
+        generate_ti_trees(18, None, blocks.append, workers=2, encoder=graph6_line)
+        [pool] = recording_pools
+        assert blocks[0] == graph6_line(SINGLE_VERTEX)
+        assert len(blocks) <= len(pool.tasks) + 1 < sum(census.values())
+        assert all(blocks)
+        assert b"".join(blocks) == b"".join(serial)
 
     @pytest.mark.parametrize("m", [None, 3])
     def test_tasks_concatenate_to_the_run_sequences(self, recording_pools, m):

@@ -62,6 +62,15 @@ def test_no_module_relies_on_assert():
     assert not found, f"assert statements in the package: {found}"
 
 
+def test_sources_parse_as_python_3_10():
+    # The grammar only: a library call that is new in 3.11 still passes.
+    assert 'requires-python = ">=3.10"' in (ROOT / "pyproject.toml").read_text()
+    sources = sorted((ROOT / "src" / "titrees").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
 @pytest.mark.parametrize(
     "record, fields",
     [
