@@ -19,13 +19,11 @@ from .oracle import (
     is_ti_graph,
     transmissions_bfs,
 )
-from .wti import WTITree
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdjacencyTree",
-    "WTITree",
     "canonical_form",
     "enumerate_free_trees",
     "generate_ti_trees",

@@ -107,10 +107,10 @@ def _run_verify(n_max: int, m: int | None, out: BinaryIO) -> int:
     """Compare canonical-form multisets of generator and oracle per order."""
     generated: dict[int, Counter] = {k: Counter() for k in range(1, n_max + 1)}
 
-    def collect(tree) -> None:
-        edges = [(tree.parents[x], x) for x in range(1, tree.order)]
-        adjacency = AdjacencyTree.from_edges(tree.order, edges)
-        generated[tree.order][canonical_form(adjacency)] += 1
+    def collect(parents: tuple[int, ...]) -> None:
+        order = len(parents)
+        adjacency = AdjacencyTree.from_edges(order, [(parents[x], x) for x in range(1, order)])
+        generated[order][canonical_form(adjacency)] += 1
 
     generate_ti_trees(n_max, m, collect)
 

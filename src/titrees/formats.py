@@ -1,8 +1,9 @@
 """Output encodings of emitted trees: graph6, sparse6, and parent-list text.
 
-Every encoder reads only ``tree.order`` and ``tree.parents``, the parent
-array with ``parents[x] < x`` that the generator emits, so the edges of a
-tree are (parents[x], x) for x = 1..n-1.  Each returns one whole line,
+Every encoder takes the parent tuple of a tree, as the generator emits
+it: ``parents[0] == 0`` and ``parents[x] < x``, so the order n is
+``len(parents)`` and the edges are (parents[x], x) for x = 1..n-1.  The
+single vertex is ``(0,)``.  Each returns one whole line,
 ended by ``b"\n"``, so a stream of trees is the concatenation of their
 lines.  graph6 and sparse6 follow the published format description
 (McKay, formats.txt) byte for byte, as networkx's ``to_graph6_bytes`` and
@@ -10,8 +11,6 @@ lines.  graph6 and sparse6 follow the published format description
 """
 
 from __future__ import annotations
-
-from .wti import WTITree
 
 __all__ = ["GRAPH6_MAX_ORDER", "graph6_line", "sparse6_line", "parent_list_line"]
 
@@ -33,16 +32,15 @@ def _encode_order(order: int) -> bytes:
     return bytes([126, 63 + (order >> 12 & 63), 63 + (order >> 6 & 63), 63 + (order & 63)])
 
 
-def graph6_line(tree: WTITree) -> bytes:
+def graph6_line(parents: tuple[int, ...]) -> bytes:
     """graph6 of a tree: the upper triangle of its adjacency matrix.
 
     The triangle is read column by column, so edge (parents[x], x) is
     bit x(x-1)/2 + parents[x]; bits are packed big-endian into 6-bit
     groups, zero-padded.
     """
-    n = tree.order
+    n = len(parents)
     _check_order(n)
-    parents = tree.parents
     groups = bytearray((n * (n - 1) // 2 + 5) // 6)
     for x in range(1, n):
         pos = x * (x - 1) // 2 + parents[x]
@@ -50,7 +48,7 @@ def graph6_line(tree: WTITree) -> bytes:
     return _encode_order(n) + groups.translate(_PRINTABLE) + b"\n"
 
 
-def sparse6_line(tree: WTITree) -> bytes:
+def sparse6_line(parents: tuple[int, ...]) -> bytes:
     """sparse6 of a tree: one edge-stream entry per vertex x = 1..n-1.
 
     Vertex x is the larger end of exactly one edge, (parents[x], x), so
@@ -59,11 +57,10 @@ def sparse6_line(tree: WTITree) -> bytes:
     stream ends at vertex n - 1, so padding it with 1-bits to a whole
     6-bit group only advances past the last vertex and adds no edge.
     """
-    n = tree.order
+    n = len(parents)
     _check_order(n)
     k = max(1, (n - 1).bit_length())
     advance = 1 << k
-    parents = tree.parents
     groups = bytearray()
     pending = width = 0
     for x in range(1, n):
@@ -79,6 +76,6 @@ def sparse6_line(tree: WTITree) -> bytes:
     return b":" + _encode_order(n) + groups.translate(_PRINTABLE) + b"\n"
 
 
-def parent_list_line(tree: WTITree) -> bytes:
+def parent_list_line(parents: tuple[int, ...]) -> bytes:
     """One text line with the parents of vertices 1..n-1; just the newline for K1."""
-    return (" ".join(map(str, tree.parents[1:])) + "\n").encode("ascii")
+    return (" ".join(map(str, parents[1:])) + "\n").encode("ascii")

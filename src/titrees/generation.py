@@ -19,7 +19,7 @@ k - 2s (Zelinka 1968), and every subtree on the way has s < k/2
 vertices, so every offset is positive.  Each pool tree gets a bitmask
 of offsets and a candidate is TI, with the root as its unique minimum,
 exactly when the chosen masks are pairwise disjoint.  That is the one
-proof of TI: an emitted tree is joined only to build its parent array.
+proof of TI: an emitted tree is joined only to build its parent tuple.
 
 The disjointness test is bit-sliced, as in the vertical bitsets of
 bit-parallel clique search (San Segundo, Rodriguez-Losada and Jimenez,
@@ -58,11 +58,11 @@ from operator import or_
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .enumeration import IncreasingSequence, WTIPool, generate_increasing, generate_wti_trees
-from .wti import SINGLE_VERTEX, WTITree, join_wti_trees
+from .wti import WTITree, join_wti_trees
 
 __all__ = ["generate_ti_trees"]
 
-TreeCallback = Callable[[WTITree], None]
+TreeCallback = Callable[[tuple[int, ...]], None]
 
 # One parallel phase-2 task: a joined order and a contiguous chunk of its
 # root-subtree order sequences (see ``_tasks``).
@@ -229,8 +229,8 @@ def _scan_sequence(
     indices in increasing order, so trees arrive in pool order.
 
     A reachable tuple is TI by that alone, so emission joins the chosen
-    trees only to build the tree passed to ``func``; a join that returns
-    None would mean wrong masks and raises RuntimeError.
+    trees only to build the parent tuple passed to ``func``; a join that
+    returns None would mean wrong masks and raises RuntimeError.
     """
     count = 0
     last = len(pools) - 1
@@ -248,7 +248,7 @@ def _scan_sequence(
                 joined = join_wti_trees(chosen)
                 if joined is None:
                     raise RuntimeError(f"offset masks admitted a non-TI join of order {k}")
-                func(joined)
+                func(joined.parents)
         elif i == last - 1 and func is None:
             # A count needs only a popcount of the last coordinate, so
             # it ends the walk here (sequences have at least 3 parts).
@@ -359,19 +359,21 @@ def generate_ti_trees(
     func: Callable[[Any], None] | None = None,
     *,
     workers: int = 1,
-    encoder: Callable[[WTITree], bytes] | None = None,
+    encoder: Callable[[tuple[int, ...]], bytes] | None = None,
 ) -> dict[int, int]:
     """Generate every TI tree of order <= n and maximum degree <= m.
 
     Each tree is produced exactly once, in canonical representation, and
-    passed to ``func`` when given.  With an encoder, ``func`` receives
-    bytes instead: the calls concatenate to ``encoder(tree)`` of every
-    tree in emission order, one call per tree in a serial run and at
-    most one per task in a parallel one.  The returned census is a dict
-    that maps every order 1..n, in increasing order, to its number of
-    emitted trees, zero included.  ``m=None`` means unbounded degree.
-    Trees arrive by order, then by root-subtree order sequence, then by
-    tuple of components.
+    passed to ``func`` when given as its parent tuple: the root is vertex
+    0, ``parents[0] == 0`` and ``parents[x] < x``, so the order is
+    ``len(parents)`` and the single vertex is ``(0,)``.  With an encoder,
+    ``func`` receives bytes instead: the calls concatenate to
+    ``encoder(parents)`` of every tree in emission order, one call per
+    tree in a serial run and at most one per task in a parallel one.
+    The returned census is a dict that maps every order 1..n, in
+    increasing order, to its number of emitted trees, zero included.
+    ``m=None`` means unbounded degree.  Trees arrive by order, then by
+    root-subtree order sequence, then by tuple of components.
 
     Phase 2 scans each order's sequences with ``_scan_order``: with
     ``workers == 1`` or a single task, in this process, one call per
@@ -397,10 +399,10 @@ def generate_ti_trees(
         raise ValueError("emitting from more than one worker needs an encoder")
     m_eff = n - 1 if m is None else m
     census = dict.fromkeys(range(1, n + 1), 0)
-    emit = func if func is None or encoder is None else lambda tree: func(encoder(tree))
+    emit = func if func is None or encoder is None else lambda parents: func(encoder(parents))
     census[1] = 1
     if emit is not None:
-        emit(SINGLE_VERTEX)
+        emit((0,))
     subtrees = _build_subtree_pools(n, m_eff)
     # Keyed here, before any worker starts, so no worker keys a pool again.
     tables = {s: _key_table(s, subtrees[s]) for s in range(1, len(subtrees))}
@@ -452,10 +454,10 @@ def generate_ti_trees(
 
 # Set in each worker process by the initializer.
 _worker_tables: dict[int, KeyTable]
-_worker_encoder: Callable[[WTITree], bytes] | None
+_worker_encoder: Callable[[tuple[int, ...]], bytes] | None
 
 
-def _worker_init(tables: dict[int, KeyTable], encoder: Callable[[WTITree], bytes] | None) -> None:
+def _worker_init(tables: dict[int, KeyTable], encoder: Callable[[tuple[int, ...]], bytes] | None) -> None:
     global _worker_tables, _worker_encoder
     # Ctrl-C is the parent's to handle; it stops the pool.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -466,7 +468,7 @@ def _worker_task(task: Task) -> tuple[int, bytes]:
     """Scan one task: its count and its trees' encodings end to end."""
     k, sequences = task
     block = bytearray()
-    emit = None if _worker_encoder is None else lambda tree: block.extend(_worker_encoder(tree))
+    emit = None if _worker_encoder is None else lambda parents: block.extend(_worker_encoder(parents))
     count = _scan_order(_worker_tables, k, sequences, emit)
     # Sent as bytes: pickle protocol 4 sends a bytearray through a bytes
     # copy, one more copy of the block in each process.

@@ -4,22 +4,22 @@ from __future__ import annotations
 
 import pytest
 
-from support import to_edge_list
-from titrees import AdjacencyTree, WTITree
+from support import Parents, to_edge_list
+from titrees import AdjacencyTree
 from titrees.enumeration import generate_wti_trees
 from titrees.wti import SINGLE_VERTEX, join_wti_trees
 
 
-def adjacency_of(tree: WTITree) -> AdjacencyTree:
+def adjacency_of(parents: Parents) -> AdjacencyTree:
     """Rebuild a plain adjacency-list tree from the parent array."""
-    return AdjacencyTree.from_edges(tree.order, to_edge_list(tree))
+    return AdjacencyTree.from_edges(len(parents), to_edge_list(parents))
 
 
-def ordered_encoding(tree: WTITree) -> bytes:
+def ordered_encoding(parents: Parents) -> bytes:
     """Parenthesized encoding of the ordered rooted tree, children in label order."""
-    children: list[list[int]] = [[] for _ in range(tree.order)]
-    for x in range(1, tree.order):
-        children[tree.parents[x]].append(x)
+    children: list[list[int]] = [[] for _ in parents]
+    for x in range(1, len(parents)):
+        children[parents[x]].append(x)
 
     def encode(v: int) -> bytes:
         return b"(" + b"".join(encode(c) for c in children[v]) + b")"

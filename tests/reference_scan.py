@@ -55,7 +55,7 @@ def _offset_mask(tree: WTITree, joined_order: int) -> int | None:
     checks.
     """
     c = tree.order
-    levels = level_transmissions(tree)
+    levels = level_transmissions(tree.parents)
     shift = joined_order - 2 * c - levels[0][0]
     step = joined_order - c
     mask = 0
@@ -127,9 +127,9 @@ def _scan_products(
     k: int,
     sequences: Sequence[IncreasingSequence],
     masked: dict[int, MaskedPool],
-    func: Callable[[ListTree], None] | None,
+    func: Callable[[tuple[int, ...]], None] | None,
 ) -> int:
-    """Count (and optionally emit) the TI joins of order k.
+    """Count (and optionally emit, as parent tuples) the TI joins of order k.
 
     Candidates are scanned in sequence order, then in mixed-radix tuple
     order with the last coordinate varying fastest, skipping every branch
@@ -154,7 +154,7 @@ def _scan_products(
                         chosen[i] = tree
                         joined = reference_join(chosen)
                         assert joined is not None and reference_is_ti_tree(joined)
-                        func(joined)
+                        func(joined.parents)
             else:
                 for mask, tree in pools[i]:
                     if used & mask:

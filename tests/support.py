@@ -1,17 +1,19 @@
 """Test-only code: edge lists, decoders, and independent reference checks.
 
 Nothing in the package needs these.  The decoders are written apart
-from the encoders, which work on parent arrays, so a round trip through
+from the encoders, which work on parent tuples, so a round trip through
 them checks the encoders; the TI test re-checks what the phase-2 scan
 emits; the WTI invariant checker and the rooted-tree and Prufer
-enumerations are the oracle's second opinions.
+enumerations are the oracle's second opinions.  A tree is its parent
+tuple, ``parents[x] < x``, as the generator emits it, except where a
+helper reads level bitsets and takes a ``WTITree``.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from operator import or_
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from titrees.oracle import (
     MAX_ENUMERATION_ORDER,
@@ -22,28 +24,20 @@ from titrees.oracle import (
 from titrees.wti import WTITree
 
 Edge = tuple[int, int]
+Parents = tuple[int, ...]
 
 
-class ParentArray(NamedTuple):
-    """A bare tree with ``parents[x] < x``, as the encoders see one."""
-
-    order: int
-    parents: tuple[int, ...]
-
-
-def to_edge_list(tree: WTITree | ParentArray) -> list[Edge]:
+def to_edge_list(parents: Parents) -> list[Edge]:
     """Edges (parent, child) as (smaller, larger) pairs, sorted."""
-    edges = [(tree.parents[x], x) for x in range(1, tree.order)]
-    edges.sort()
-    return edges
+    return sorted((parents[x], x) for x in range(1, len(parents)))
 
 
-def parent_array(order: int, edges: Sequence[Edge]) -> ParentArray:
-    """The tree whose edges (u, v), u < v, give parents[v] = u."""
+def parent_array(order: int, edges: Sequence[Edge]) -> Parents:
+    """The parent tuple whose edges (u, v), u < v, give parents[v] = u."""
     parents = [0] * order
     for u, v in edges:
         parents[v] = u
-    return ParentArray(order, tuple(parents))
+    return tuple(parents)
 
 
 def chain_edges(order: int) -> list[Edge]:
@@ -121,31 +115,31 @@ def decode_sparse6(data: bytes) -> tuple[int, list[Edge]]:
 # ----------------------------------------------------------------------
 
 
-def levels_from_parents(tree: WTITree) -> list[int]:
+def levels_from_parents(parents: Parents) -> list[int]:
     """Level of every vertex, derived from the parent array alone."""
-    level = [0] * tree.order
-    for x in range(1, tree.order):
-        level[x] = level[tree.parents[x]] + 1
+    level = [0] * len(parents)
+    for x in range(1, len(parents)):
+        level[x] = level[parents[x]] + 1
     return level
 
 
-def subtree_sizes_from_parents(tree: WTITree) -> list[int]:
+def subtree_sizes_from_parents(parents: Parents) -> list[int]:
     """Size of every vertex's subtree, itself included, from the parent array alone."""
-    size = [1] * tree.order
-    for x in range(tree.order - 1, 0, -1):
-        size[tree.parents[x]] += size[x]
+    size = [1] * len(parents)
+    for x in range(len(parents) - 1, 0, -1):
+        size[parents[x]] += size[x]
     return size
 
 
-def level_transmissions(tree: WTITree) -> tuple[tuple[int, ...], ...]:
+def level_transmissions(parents: Parents) -> tuple[tuple[int, ...], ...]:
     """The transmissions of each level, in ascending label order.
 
     Derived from ``parents`` alone: the root's transmission is the sum
     of the depths, and crossing the edge into the subtree of x changes a
     transmission by order - 2 * size(x).
     """
-    n, parents = tree.order, tree.parents
-    size, level = subtree_sizes_from_parents(tree), levels_from_parents(tree)
+    n = len(parents)
+    size, level = subtree_sizes_from_parents(parents), levels_from_parents(parents)
     value = [sum(level)] * n
     grouped: list[list[int]] = [[value[0]]] + [[] for _ in range(max(level))]
     for x in range(1, n):
@@ -154,14 +148,14 @@ def level_transmissions(tree: WTITree) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, grouped))
 
 
-def level_path_sums(tree: WTITree) -> tuple[tuple[int, ...], ...]:
+def level_path_sums(parents: Parents) -> tuple[tuple[int, ...], ...]:
     """The doubled path sums of each level, in ascending label order.
 
     Derived from ``parents`` alone: a vertex's path sum is its parent's
     plus its own subtree size, and the root's is 0.
     """
-    n, parents = tree.order, tree.parents
-    size, level = subtree_sizes_from_parents(tree), levels_from_parents(tree)
+    n = len(parents)
+    size, level = subtree_sizes_from_parents(parents), levels_from_parents(parents)
     value = [0] * n
     grouped: list[list[int]] = [[0]] + [[] for _ in range(max(level))]
     for x in range(1, n):
@@ -170,14 +164,25 @@ def level_path_sums(tree: WTITree) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, grouped))
 
 
-def get_max_degree(tree: WTITree) -> tuple[int, int]:
-    """(maximum vertex degree, number of root children) of a WTI tree."""
-    child_count = [0] * tree.order
-    for x in range(1, tree.order):
-        child_count[tree.parents[x]] += 1
+def wti_from_parents(parents: Parents) -> WTITree:
+    """The tree with its level bitsets derived from ``parents`` alone.
+
+    Bit q of level d is set iff a level-d vertex has doubled path sum q
+    (``level_path_sums``), so a repeated value on a level leaves fewer
+    bits than vertices there, and ``is_ti_tree`` then fails.
+    """
+    levels = tuple(reduce(or_, (1 << q for q in sums)) for sums in level_path_sums(parents))
+    return WTITree(len(parents), parents, levels)
+
+
+def get_max_degree(parents: Parents) -> tuple[int, int]:
+    """(maximum vertex degree, number of root children) of a rooted tree."""
+    child_count = [0] * len(parents)
+    for x in range(1, len(parents)):
+        child_count[parents[x]] += 1
     root_children = child_count[0]
     max_degree = root_children
-    for v in range(1, tree.order):
+    for v in range(1, len(parents)):
         degree = child_count[v] + 1
         if degree > max_degree:
             max_degree = degree
@@ -235,7 +240,7 @@ def validate_wti_tree(tree: WTITree) -> None:
         low, high = l * (l + 1), 2 * l * n - l * (l + 1)
         if bits & ((1 << low) - 1) or bits >> (high + 1):
             raise ValueError(f"level {l} holds a doubled path sum outside {low}..{high}")
-    derived = [set(values) for values in level_path_sums(tree)]
+    derived = [set(values) for values in level_path_sums(tree.parents)]
     if level_sets(tree) != derived:
         raise ValueError("level bitsets differ from the path sums of the parent array")
 

@@ -112,8 +112,8 @@ def test_criterion_4_oracle_equivalence():
     n_max = 18
     generated: dict[int, Counter] = {k: Counter() for k in range(1, n_max + 1)}
 
-    def collect(tree):
-        generated[tree.order][canonical_form(adjacency_of(tree))] += 1
+    def collect(parents):
+        generated[len(parents)][canonical_form(adjacency_of(parents))] += 1
 
     generate_ti_trees(n_max, None, collect)
 
@@ -173,21 +173,21 @@ def test_criterion_6_incremental_arithmetic():
     edges_ok = True
     for k in range(1, 13):
         for tree in pool[k]:
-            bfs = transmissions_bfs(adjacency_of(tree))
-            level = levels_from_parents(tree)
-            size = subtree_sizes_from_parents(tree)
+            bfs = transmissions_bfs(adjacency_of(tree.parents))
+            level = levels_from_parents(tree.parents)
+            size = subtree_sizes_from_parents(tree.parents)
             path_sum = [0] * k
             for v in range(1, k):
                 path_sum[v] = path_sum[tree.parents[v]] + size[v]
                 if k * level[v] - 2 * path_sum[v] != bfs[v] - bfs[0]:
                     levels_ok = False
-            if level_sets(tree) != [set(values) for values in level_path_sums(tree)]:
+            if level_sets(tree) != [set(values) for values in level_path_sums(tree.parents)]:
                 levels_ok = False
             grouped = tuple(
                 tuple(bfs[v] for v in range(tree.order) if level[v] == i)
                 for i in range(len(tree.levels))
             )
-            if grouped != level_transmissions(tree):
+            if grouped != level_transmissions(tree.parents):
                 levels_ok = False
             for x in range(1, tree.order):
                 if bfs[x] - bfs[tree.parents[x]] != tree.order - 2 * size[x]:
@@ -214,17 +214,17 @@ def test_criterion_8_format_round_trips():
     """Both decoders recover the edge set of every TI tree of order <= 14;
     the '@' and 'A_' lines hold."""
     literals_ok = (
-        graph6_line(SINGLE_VERTEX) == b"@\n"
-        and graph6_line(join_wti_trees([SINGLE_VERTEX])) == b"A_\n"
+        graph6_line((0,)) == b"@\n"
+        and graph6_line(join_wti_trees([SINGLE_VERTEX]).parents) == b"A_\n"
     )
     trees = []
     generate_ti_trees(14, None, trees.append)
     round_trips_ok = True
-    for tree in trees:
-        edges = to_edge_list(tree)
-        if decode_graph6(graph6_line(tree)) != (tree.order, edges):
+    for parents in trees:
+        edges = to_edge_list(parents)
+        if decode_graph6(graph6_line(parents)) != (len(parents), edges):
             round_trips_ok = False
-        if decode_sparse6(sparse6_line(tree)) != (tree.order, edges):
+        if decode_sparse6(sparse6_line(parents)) != (len(parents), edges):
             round_trips_ok = False
     report("8 format round-trips", literals_ok and round_trips_ok, f"{len(trees)} trees")
 

@@ -132,11 +132,11 @@ class TestVerifyMode:
         def lossy(n, m, func):
             state = {"dropped": False}
 
-            def filtered(tree):
-                if tree.order == 7 and not state["dropped"]:
+            def filtered(parents):
+                if len(parents) == 7 and not state["dropped"]:
                     state["dropped"] = True
                     return
-                func(tree)
+                func(parents)
 
             return real(n, m, filtered)
 

@@ -180,5 +180,5 @@ class TestGenerateWtiTrees:
                 expected.add(encode(0))
 
             enumerate_rooted_trees(k, consider)
-            got = {ordered_encoding(t) for t in pool12[k]}
+            got = {ordered_encoding(t.parents) for t in pool12[k]}
             assert got == expected, f"pool mismatch at order {k}"

@@ -2,7 +2,7 @@
 
 networkx serves as the reference codec: our encoders must agree with it
 byte for byte, and our independently written decoders must invert them.
-The encoders take trees (anything with ``order`` and ``parents``); edge
+The encoders take parent tuples, as the generator emits them; edge
 lists only describe the reference side.
 """
 
@@ -13,7 +13,6 @@ import pytest
 
 from conftest import adjacency_of
 from support import (
-    ParentArray,
     chain_edges,
     decode_graph6,
     decode_sparse6,
@@ -25,7 +24,6 @@ from support import (
 )
 from titrees import generate_ti_trees, graph6_line, parent_list_line, sparse6_line, transmissions_bfs
 from titrees.formats import GRAPH6_MAX_ORDER
-from titrees.wti import SINGLE_VERTEX
 
 
 def nx_graph(order, edges):
@@ -41,53 +39,58 @@ def ti_trees_up_to(n):
     return trees
 
 
+def pool_parents(pool, k):
+    """The parent tuples of the pool trees of order k."""
+    return [tree.parents for tree in pool[k]]
+
+
 class TestToEdgeList:
     def test_single_vertex(self):
-        assert to_edge_list(SINGLE_VERTEX) == []
+        assert to_edge_list((0,)) == []
 
     def test_two_vertex_tree(self, chains):
-        assert to_edge_list(chains[2]) == [(0, 1)]
+        assert to_edge_list(chains[2].parents) == [(0, 1)]
 
     def test_chain_of_three(self, chains):
-        assert to_edge_list(chains[3]) == [(0, 1), (1, 2)]
+        assert to_edge_list(chains[3].parents) == [(0, 1), (1, 2)]
 
     def test_sorted_small_first(self, spider7):
-        edges = to_edge_list(spider7)
+        edges = to_edge_list(spider7.parents)
         assert edges == sorted(edges)
         assert all(u < v for u, v in edges)
 
 
 class TestGraph6:
     def test_single_vertex_literal(self):
-        assert graph6_line(SINGLE_VERTEX) == b"@\n"
+        assert graph6_line((0,)) == b"@\n"
 
     def test_single_edge_literal(self, chains):
-        assert graph6_line(chains[2]) == b"A_\n"
+        assert graph6_line(chains[2].parents) == b"A_\n"
 
     def test_format_tag(self, chains):
         # The format travels in the bytes: only sparse6 starts with ':'.
-        for tree in (SINGLE_VERTEX, chains[2], chains[3]):
-            assert not graph6_line(tree).startswith(b":")
-            assert sparse6_line(tree).startswith(b":")
+        for parents in ((0,), chains[2].parents, chains[3].parents):
+            assert not graph6_line(parents).startswith(b":")
+            assert sparse6_line(parents).startswith(b":")
 
     def test_round_trip_pool_trees(self, pool12):
         for k in range(1, 11):
-            for tree in pool12[k]:
-                assert decode_graph6(graph6_line(tree)) == (k, to_edge_list(tree))
+            for parents in pool_parents(pool12, k):
+                assert decode_graph6(graph6_line(parents)) == (k, to_edge_list(parents))
 
     def test_against_reference_codec(self, pool12):
         for k in range(1, 11):
-            for tree in pool12[k]:
-                graph = nx_graph(k, to_edge_list(tree))
+            for parents in pool_parents(pool12, k):
+                graph = nx_graph(k, to_edge_list(parents))
                 expected = nx.to_graph6_bytes(graph, header=False)
-                assert graph6_line(tree) == expected
+                assert graph6_line(parents) == expected
 
     def test_multibyte_order_field(self):
         # A star on 63 vertices forces the three-byte order escape.
         edges = star_edges(63)
-        tree = parent_array(63, edges)
+        parents = parent_array(63, edges)
         graph = nx_graph(63, edges)
-        g6, s6 = graph6_line(tree), sparse6_line(tree)
+        g6, s6 = graph6_line(parents), sparse6_line(parents)
         assert g6[:1] == bytes([126]) and s6[:2] == b":~"
         assert g6 == nx.to_graph6_bytes(graph, header=False)
         assert s6 == nx.to_sparse6_bytes(graph, header=False)
@@ -96,28 +99,28 @@ class TestGraph6:
     def test_order_out_of_range(self):
         for encode in (graph6_line, sparse6_line):
             with pytest.raises(ValueError):
-                encode(ParentArray(0, ()))
+                encode(())
             with pytest.raises(ValueError):
-                encode(ParentArray(GRAPH6_MAX_ORDER + 1, ()))
+                encode((0,) * (GRAPH6_MAX_ORDER + 1))
 
 
 class TestSparse6:
     def test_single_vertex(self):
-        enc = sparse6_line(SINGLE_VERTEX)
+        enc = sparse6_line((0,))
         assert enc == b":@\n"
         assert decode_sparse6(enc) == (1, [])
 
     def test_round_trip_pool_trees(self, pool12):
         for k in range(1, 11):
-            for tree in pool12[k]:
-                assert decode_sparse6(sparse6_line(tree)) == (k, to_edge_list(tree))
+            for parents in pool_parents(pool12, k):
+                assert decode_sparse6(sparse6_line(parents)) == (k, to_edge_list(parents))
 
     def test_against_reference_codec(self, pool12):
         for k in range(1, 11):
-            for tree in pool12[k]:
-                graph = nx_graph(k, to_edge_list(tree))
+            for parents in pool_parents(pool12, k):
+                graph = nx_graph(k, to_edge_list(parents))
                 expected = nx.to_sparse6_bytes(graph, header=False)
-                assert sparse6_line(tree) == expected
+                assert sparse6_line(parents) == expected
 
     @pytest.mark.parametrize(
         "order,edges",
@@ -128,18 +131,18 @@ class TestSparse6:
         # Orders 2, 4, 8, 16 are where sparse6 has a special padding rule,
         # and 63-65 need the three-byte order escape; the reference codec
         # is authoritative for both formats.
-        tree = parent_array(order, edges)
+        parents = parent_array(order, edges)
         graph = nx_graph(order, edges)
-        assert graph6_line(tree) == nx.to_graph6_bytes(graph, header=False)
-        mine = sparse6_line(tree)
+        assert graph6_line(parents) == nx.to_graph6_bytes(graph, header=False)
+        mine = sparse6_line(parents)
         assert mine == nx.to_sparse6_bytes(graph, header=False)
         assert decode_sparse6(mine) == (order, sorted(edges))
 
     def test_cross_format_agreement_on_ti_trees(self):
-        for tree in ti_trees_up_to(14):
-            via_g6 = decode_graph6(graph6_line(tree))
-            via_s6 = decode_sparse6(sparse6_line(tree))
-            assert via_g6 == via_s6 == (tree.order, to_edge_list(tree))
+        for parents in ti_trees_up_to(14):
+            via_g6 = decode_graph6(graph6_line(parents))
+            via_s6 = decode_sparse6(sparse6_line(parents))
+            assert via_g6 == via_s6 == (len(parents), to_edge_list(parents))
 
     def test_rejects_missing_prefix(self):
         with pytest.raises(ValueError):
@@ -149,8 +152,8 @@ class TestSparse6:
 class TestPrintableRange:
     def test_all_payload_bytes_printable(self, pool12):
         for k in range(1, 13):
-            for tree in pool12[k]:
-                for enc in (graph6_line(tree), sparse6_line(tree)):
+            for parents in pool_parents(pool12, k):
+                for enc in (graph6_line(parents), sparse6_line(parents)):
                     assert enc.endswith(b"\n")
                     payload = enc[1:-1] if enc.startswith(b":") else enc[:-1]
                     assert all(63 <= byte <= 126 for byte in payload)
@@ -158,25 +161,25 @@ class TestPrintableRange:
 
 class TestParentList:
     def test_single_vertex_empty_line(self):
-        assert parent_list_line(SINGLE_VERTEX) == b"\n"
+        assert parent_list_line((0,)) == b"\n"
 
     def test_two_vertex_tree(self, chains):
-        assert parent_list_line(chains[2]) == b"0\n"
+        assert parent_list_line(chains[2].parents) == b"0\n"
 
     def test_spider_labels(self, spider7):
-        assert parent_list_line(spider7) == b"0 0 2 0 4 5\n"
+        assert parent_list_line(spider7.parents) == b"0 0 2 0 4 5\n"
 
     def test_reparses_to_matching_transmissions(self, pool12):
         # Parse the line back into a parent array, rebuild the tree, and
         # compare BFS transmissions with the derived level lists.
         for k in range(1, 13):
-            for tree in pool12[k]:
-                text = parent_list_line(tree).decode("ascii")
-                parents = [int(token) for token in text.split()]
-                assert len(parents) == k - 1
-                rebuilt = adjacency_of(tree)
+            for parents in pool_parents(pool12, k):
+                text = parent_list_line(parents).decode("ascii")
+                parsed = [int(token) for token in text.split()]
+                assert (0, *parsed) == parents
+                rebuilt = adjacency_of(parents)
                 bfs = transmissions_bfs(rebuilt)
-                level = levels_from_parents(tree)
-                for i, values in enumerate(level_transmissions(tree)):
+                level = levels_from_parents(parents)
+                for i, values in enumerate(level_transmissions(parents)):
                     labels = [v for v in range(k) if level[v] == i]
                     assert tuple(bfs[v] for v in labels) == values

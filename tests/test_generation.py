@@ -15,7 +15,7 @@ import pytest
 from conftest import adjacency_of
 from reference_join import reference_is_ti_tree, reference_join, reference_pool
 from reference_scan import _masked_collection, _scan_products, _sliced_pool
-from support import get_max_degree, is_ti_tree, level_transmissions, validate_wti_tree
+from support import get_max_degree, is_ti_tree, level_transmissions, validate_wti_tree, wti_from_parents
 from titrees import (
     canonical_form,
     generate_ti_trees,
@@ -50,7 +50,7 @@ def reference_phase1(n: int, m_eff: int):
     subtrees: list[list] = [[] for _ in range(half + 1)]
     for k in range(1, half + 1):
         for tree in pool[k]:
-            max_degree, root_children = get_max_degree(tree)
+            max_degree, root_children = get_max_degree(tree.parents)
             if max_degree > m_eff:
                 continue
             if reference_is_ti_tree(tree):
@@ -91,13 +91,13 @@ def reference_generate(n: int, m: int | None):
 
 class TestGetMaxDegree:
     def test_spider(self, spider7):
-        assert get_max_degree(spider7) == (3, 3)
+        assert get_max_degree(spider7.parents) == (3, 3)
 
     def test_chain_of_four(self, chains):
-        assert get_max_degree(chains[4]) == (2, 1)
+        assert get_max_degree(chains[4].parents) == (2, 1)
 
     def test_single_vertex(self):
-        assert get_max_degree(SINGLE_VERTEX) == (0, 0)
+        assert get_max_degree((0,)) == (0, 0)
 
 
 class TestIsTiTree:
@@ -118,7 +118,7 @@ class TestIsTiTree:
         # distinct transmissions, the minimum 10 at the centre, vertex 2.
         tree = join_wti_trees([SINGLE_VERTEX, join_wti_trees([SINGLE_VERTEX, chains[3]])])
         assert tree.parents == (0, 0, 0, 2, 2, 4, 5)
-        assert transmissions_bfs(adjacency_of(tree)) == [13, 18, 10, 15, 11, 14, 19]
+        assert transmissions_bfs(adjacency_of(tree.parents)) == [13, 18, 10, 15, 11, 14, 19]
         assert not is_ti_tree(tree)
 
 
@@ -131,7 +131,7 @@ class TestCensus:
         assert generate_ti_trees(2) == {1: 1, 2: 0}
         emitted = []
         generate_ti_trees(1, None, emitted.append)
-        assert [t.order for t in emitted] == [1]
+        assert emitted == [(0,)]
 
     def test_degree_cap_two_leaves_only_the_trivial_tree(self):
         census = generate_ti_trees(7, 2)
@@ -157,7 +157,7 @@ class TestAgainstReferencePath:
     def test_mask_scan_equals_join_then_filter(self, n, m):
         census_ref, emitted_ref = reference_generate(n, m)
         emitted = []
-        census = generate_ti_trees(n, m, lambda t: emitted.append(t.parents))
+        census = generate_ti_trees(n, m, emitted.append)
         assert census == census_ref
         assert emitted == emitted_ref  # same trees in the same order
 
@@ -167,7 +167,7 @@ def collect(scan, emit: bool):
     if not emit:
         return scan(None)
     emitted: list = []
-    count = scan(lambda t: emitted.append(t.parents))
+    count = scan(emitted.append)
     assert count == len(emitted)
     return emitted
 
@@ -354,10 +354,12 @@ class TestEmission:
     def test_trees_are_canonical_ti_forms(self):
         seen = []
         generate_ti_trees(14, None, seen.append)
-        for tree in seen:
+        for parents in seen:
+            assert type(parents) is tuple and parents[0] == 0
+            tree = wti_from_parents(parents)
             assert is_ti_tree(tree)
-            bfs = transmissions_bfs(adjacency_of(tree))
-            values = [t for level in level_transmissions(tree) for t in level]
+            bfs = transmissions_bfs(adjacency_of(parents))
+            values = [t for level in level_transmissions(parents) for t in level]
             assert min(values) == bfs[0]
             assert sorted(values) == sorted(bfs)
             validate_wti_tree(tree)  # includes increasing child subtree orders
@@ -369,7 +371,7 @@ class TestEmission:
 
     def test_order_of_emission_is_nondecreasing(self):
         orders = []
-        generate_ti_trees(15, None, lambda t: orders.append(t.order))
+        generate_ti_trees(15, None, lambda parents: orders.append(len(parents)))
         assert orders == sorted(orders)
 
     def test_two_runs_identical(self):
@@ -382,9 +384,10 @@ class TestEmission:
     @pytest.mark.parametrize("n, m", [(24, None), (22, 3)])
     def test_every_emitted_tree_is_ti(self, n, m):
         # The scan proves TI by its offset masks alone and emits without
-        # a second test, so this one re-checks every tree it emits.
+        # a second test, so this one re-checks every tree it emits, on
+        # levels derived from the emitted parents alone.
         checked = collections.Counter()
-        census = generate_ti_trees(n, m, lambda tree: checked.update([is_ti_tree(tree)]))
+        census = generate_ti_trees(n, m, lambda parents: checked.update([is_ti_tree(wti_from_parents(parents))]))
         assert checked == {True: sum(census.values())}
 
     def test_non_ti_join_is_an_error_not_an_assert(self, monkeypatch):
@@ -398,8 +401,8 @@ class TestEmission:
             trees = []
             generate_ti_trees(13, m, trees.append)
             assert trees, f"expected some TI trees at m={m}"
-            for tree in trees:
-                assert get_max_degree(tree)[0] <= m
+            for parents in trees:
+                assert get_max_degree(parents)[0] <= m
 
 
 class TestDegreeMonotonicity:
@@ -473,11 +476,18 @@ class Outstanding:
         return self.future.result()
 
 
-def awkward_line(tree) -> bytes:
+def awkward_line(parents) -> bytes:
     """An encoder whose output no separator frames: some encodings are
     empty, the others hold newlines of their own."""
-    line = parent_list_line(tree)
+    line = parent_list_line(parents)
     return b"" if len(line) % 3 == 0 else line.replace(b" ", b"\n") + b"\n"
+
+
+def shape_line(parents) -> bytes:
+    """An encoder that writes what it was given: its type, and 1 when it
+    is a parent tuple (``parents[0] == 0``, ``parents[x] < x``)."""
+    ok = parents[0] == 0 and all(parents[x] < x for x in range(1, len(parents)))
+    return b"%s %d\n" % (type(parents).__name__.encode(), ok)
 
 
 def sequence_weights(n: int, m_eff: int) -> dict[int, list[tuple[tuple[int, ...], int]]]:
@@ -521,6 +531,12 @@ class TestParallel:
         assert b"".join(parallel) == b"".join(serial)
         if encoder is awkward_line:
             assert b"" in serial and any(b"\n" in line for line in serial)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_encoder_receives_parent_tuples(self, workers):
+        lines: list[bytes] = []
+        census = generate_ti_trees(18, None, lines.append, workers=workers, encoder=shape_line)
+        assert b"".join(lines).splitlines() == [b"tuple 1"] * sum(census.values())
 
     def test_spawn_fallback_matches_serial(self, monkeypatch):
         # Where fork is missing, get_context("fork") raises ValueError and
@@ -604,7 +620,7 @@ class TestParallel:
         blocks: list[bytes] = []
         generate_ti_trees(18, None, blocks.append, workers=2, encoder=graph6_line)
         [pool] = recording_pools
-        assert blocks[0] == graph6_line(SINGLE_VERTEX)
+        assert blocks[0] == graph6_line((0,))
         assert len(blocks) <= len(pool.tasks) + 1 < sum(census.values())
         assert all(blocks)
         assert b"".join(blocks) == b"".join(serial)
@@ -646,5 +662,5 @@ class TestParallel:
         census = generate_ti_trees(n, None, lines.append, workers=8, encoder=parent_list_line)
         expected = {1: 1, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 1, 8: 0}
         assert census == {k: expected[k] for k in range(1, n + 1)}
-        assert lines.count(parent_list_line(SINGLE_VERTEX)) == 1
+        assert lines.count(parent_list_line((0,))) == 1
         assert len(lines) == sum(census.values())

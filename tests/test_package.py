@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import importlib
+import io
 import pickle
 import pkgutil
 from pathlib import Path
@@ -19,7 +21,6 @@ README = ROOT / "README.md"
 
 LIBRARY = [
     "AdjacencyTree",
-    "WTITree",
     "canonical_form",
     "enumerate_free_trees",
     "generate_ti_trees",
@@ -31,11 +32,46 @@ LIBRARY = [
 ]
 
 
+def library_section() -> str:
+    return README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_all_is_the_library_surface_the_readme_documents():
-    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    section = library_section()
     assert sorted(titrees.__all__) == LIBRARY
     assert all(f"`{name}`" in section or f"`{name}(" in section for name in LIBRARY)
     assert all(hasattr(titrees, name) for name in LIBRARY)
+    assert "WTITree" not in section
+
+
+def test_readme_library_example_prints_parent_tuples_then_the_census():
+    code = library_section().split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    lines = out.getvalue().splitlines()
+    census = {
+        1: 1, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 1, 8: 0,
+        9: 1, 10: 0, 11: 6, 12: 0, 13: 24, 14: 1, 15: 82, 16: 10,
+    }
+    assert lines[0] == "(0,)"
+    assert lines[-1] == str(census)
+    trees = [ast.literal_eval(line) for line in lines[:-1]]
+    assert len(trees) == sum(census.values())
+    assert all(type(parents) is tuple and parents[0] == 0 for parents in trees)
+    assert all(parents[x] < x for parents in trees for x in range(1, len(parents)))
+
+
+def test_formats_imports_nothing_from_the_package():
+    # The codecs take plain parent tuples, so they need no package type.
+    path = ROOT / "src" / "titrees" / "formats.py"
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").split(".")[0] == "titrees"))
+        or (isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "titrees" for alias in node.names))
+    ]
+    assert not found, f"package imports in formats.py at lines {found}"
 
 
 def test_every_module_all_names_resolve():

@@ -30,7 +30,7 @@ from titrees.wti import SINGLE_VERTEX, join_wti_trees
 
 
 def bfs_transmissions(tree):
-    return transmissions_bfs(adjacency_of(tree))
+    return transmissions_bfs(adjacency_of(tree.parents))
 
 
 class TestRootTransmissionOfJoin:
@@ -101,8 +101,8 @@ class TestLiftLevel:
     def test_preserves_order(self, spider7):
         # The children's vertices keep their join order: the derived
         # level-1 values list the legs of lengths 1, 2 and 3 in turn.
-        assert level_path_sums(spider7)[1] == (2, 4, 6)
-        assert level_transmissions(spider7)[1] == (15, 13, 11)
+        assert level_path_sums(spider7.parents)[1] == (2, 4, 6)
+        assert level_transmissions(spider7.parents)[1] == (15, 13, 11)
         assert spider7.parents == (0, 0, 0, 2, 0, 4, 5)
 
 
@@ -112,7 +112,7 @@ class TestJoinWtiTrees:
         assert tree is not None
         assert tree.order == 2
         assert tree.levels == (1 << 0, 1 << 2)
-        assert level_transmissions(tree) == ((1,), (1,))
+        assert level_transmissions(tree.parents) == ((1,), (1,))
         assert tree.parents == (0, 0)
 
     def test_spider_7(self, spider7):
@@ -121,7 +121,7 @@ class TestJoinWtiTrees:
         assert spider7.order == 7
         assert len(spider7.levels) - 1 == 3
         assert level_sets(spider7) == [{0}, {2, 4, 6}, {6, 10}, {12}]
-        assert level_transmissions(spider7) == ((10,), (15, 13, 11), (18, 14), (19,))
+        assert level_transmissions(spider7.parents) == ((10,), (15, 13, 11), (18, 14), (19,))
         assert bfs_transmissions(spider7) == [10, 15, 13, 18, 11, 14, 19]
         assert spider7.parents == (0, 0, 0, 2, 0, 4, 5)
 
@@ -132,7 +132,7 @@ class TestJoinWtiTrees:
         assert spider8 is not None
         assert spider8.levels[0] == 1 << 0
         assert level_sets(spider8)[1] == {2, 4, 8}
-        assert level_transmissions(spider8)[:2] == ((14,), (20, 18, 14))
+        assert level_transmissions(spider8.parents)[:2] == ((14,), (20, 18, 14))
         assert bfs_transmissions(spider8)[0] == 14
 
     def test_within_level_duplicate_fails(self, chains):
@@ -173,7 +173,7 @@ class TestJoinWtiTrees:
         for k in (5, 8, 11):
             for tree in pool12[k][:20]:
                 assert sum(bits.bit_count() for bits in tree.levels) == tree.order
-                assert len(tree.levels) == max(levels_from_parents(tree)) + 1
+                assert len(tree.levels) == max(levels_from_parents(tree.parents)) + 1
 
 
 class TestPoolAgainstBfsOracle:
@@ -185,13 +185,13 @@ class TestPoolAgainstBfsOracle:
         # identity derives must match exactly (ascending label order).
         for k in range(1, 13):
             for tree in pool12[k]:
-                bfs = transmissions_bfs(adjacency_of(tree))
-                level = levels_from_parents(tree)
+                bfs = transmissions_bfs(adjacency_of(tree.parents))
+                level = levels_from_parents(tree.parents)
                 grouped = [
                     tuple(bfs[v] for v in range(tree.order) if level[v] == i)
                     for i in range(len(tree.levels))
                 ]
-                assert tuple(grouped) == level_transmissions(tree)
+                assert tuple(grouped) == level_transmissions(tree.parents)
 
     def test_level_bitsets_equal_bfs_levels(self, pool12):
         # Each stored level-d bitset is the set of n * d - (T(v) - T(root))
@@ -199,21 +199,21 @@ class TestPoolAgainstBfsOracle:
         # doubled path sums derived from the parent array.
         for k in range(1, 13):
             for tree in pool12[k]:
-                bfs = transmissions_bfs(adjacency_of(tree))
-                level = levels_from_parents(tree)
+                bfs = transmissions_bfs(adjacency_of(tree.parents))
+                level = levels_from_parents(tree.parents)
                 expected = [set() for _ in tree.levels]
                 for v in range(tree.order):
                     expected[level[v]].add(k * level[v] - (bfs[v] - bfs[0]))
                 assert level_sets(tree) == expected
-                assert level_sets(tree) == [set(values) for values in level_path_sums(tree)]
+                assert level_sets(tree) == [set(values) for values in level_path_sums(tree.parents)]
 
     def test_edge_step_identity(self, pool12):
         # For every edge, the BFS transmissions of child and parent differ
         # by (order - 2 * child subtree size).
         for k in range(1, 11):
             for tree in pool12[k]:
-                bfs = transmissions_bfs(adjacency_of(tree))
-                size = subtree_sizes_from_parents(tree)
+                bfs = transmissions_bfs(adjacency_of(tree.parents))
+                size = subtree_sizes_from_parents(tree.parents)
                 for x in range(1, tree.order):
                     assert bfs[x] - bfs[tree.parents[x]] == tree.order - 2 * size[x]
 
@@ -225,7 +225,7 @@ class TestPoolAgainstBfsOracle:
     def test_level_cardinalities_match_parents(self, pool12):
         for k in range(1, 13):
             for tree in pool12[k]:
-                level = levels_from_parents(tree)
+                level = levels_from_parents(tree.parents)
                 for i, bits in enumerate(tree.levels):
                     assert level.count(i) == bits.bit_count()
 
