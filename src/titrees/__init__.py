@@ -12,18 +12,11 @@ verification.
 
 from .formats import graph6_line, parent_list_line, sparse6_line
 from .generation import generate_ti_trees
-from .oracle import (
-    AdjacencyTree,
-    canonical_form,
-    enumerate_free_trees,
-    is_ti_graph,
-    transmissions_bfs,
-)
+from .oracle import canonical_form, enumerate_free_trees, is_ti_graph, transmissions_bfs
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjacencyTree",
     "canonical_form",
     "enumerate_free_trees",
     "generate_ti_trees",

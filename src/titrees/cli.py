@@ -25,13 +25,7 @@ from typing import BinaryIO, Sequence
 
 from .formats import graph6_line, parent_list_line, sparse6_line
 from .generation import generate_ti_trees
-from .oracle import (
-    MAX_ENUMERATION_ORDER,
-    AdjacencyTree,
-    canonical_form,
-    enumerate_free_trees,
-    is_ti_graph,
-)
+from .oracle import MAX_ENUMERATION_ORDER, canonical_form, enumerate_free_trees, is_ti_graph
 
 __all__ = ["main"]
 
@@ -108,9 +102,7 @@ def _run_verify(n_max: int, m: int | None, out: BinaryIO) -> int:
     generated: dict[int, Counter] = {k: Counter() for k in range(1, n_max + 1)}
 
     def collect(parents: tuple[int, ...]) -> None:
-        order = len(parents)
-        adjacency = AdjacencyTree.from_edges(order, [(parents[x], x) for x in range(1, order)])
-        generated[order][canonical_form(adjacency)] += 1
+        generated[len(parents)][canonical_form(parents)] += 1
 
     generate_ti_trees(n_max, m, collect)
 
@@ -118,11 +110,13 @@ def _run_verify(n_max: int, m: int | None, out: BinaryIO) -> int:
     for order in range(1, n_max + 1):
         expected: Counter = Counter()
 
-        def check(tree: AdjacencyTree) -> None:
-            if m is not None and any(len(ns) > m for ns in tree.adjacency):
+        def check(parents: tuple[int, ...]) -> None:
+            # A vertex's degree is its child count, plus one for its
+            # parent unless it is the root; leaves never exceed m >= 2.
+            if m is not None and any(k + (v > 0) > m for v, k in Counter(parents[1:]).items()):
                 return
-            if is_ti_graph(tree):
-                expected[canonical_form(tree)] += 1
+            if is_ti_graph(parents):
+                expected[canonical_form(parents)] += 1
 
         enumerate_free_trees(order, check)
         if generated[order] == expected:

@@ -1,21 +1,24 @@
 """Brute-force reference machinery for cross-checking the generator.
 
-Everything in this module works on plain adjacency lists: free trees are
-enumerated by the classical level-sequence successor scheme, transmissions
-are computed by one breadth-first search per vertex, and isomorphism is
-decided through canonical encodings of the tree rooted at its
-minimum-transmission vertices, one or two adjacent ones.  None of the
-path-sum arithmetic used by the generator appears here,
-which is what makes agreement between the two paths meaningful evidence.
+A tree here is its parent tuple, as the generator emits it: vertex 0 is
+the root, ``parents[0] == 0`` and ``0 <= parents[x] < x`` for every other
+vertex x.  Every such tuple is a tree, and the functions that take one
+raise ValueError on any other.  Free trees are enumerated by the
+classical level-sequence successor scheme, transmissions are computed by
+one breadth-first search per vertex over neighbour lists rebuilt from
+the tuple, and isomorphism is decided through canonical encodings of the
+tree rooted at its minimum-transmission vertices, one or two adjacent
+ones.  None of the path-sum arithmetic used by the generator appears
+here, which is what makes agreement between the two paths meaningful
+evidence.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 __all__ = [
-    "AdjacencyTree",
     "MAX_ENUMERATION_ORDER",
     "enumerate_free_trees",
     "transmissions_bfs",
@@ -28,31 +31,18 @@ __all__ = [
 MAX_ENUMERATION_ORDER = 22
 
 
-class AdjacencyTree(NamedTuple):
-    """Unrooted tree on labels 0..order-1 stored as adjacency lists: an
-    immutable named tuple ``(order, adjacency)`` that indexes, unpacks and
-    compares like a tuple."""
-
-    order: int
-    adjacency: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_edges(cls, order: int, edges: Sequence[tuple[int, int]]) -> "AdjacencyTree":
-        """Build a tree from an edge list, validating that it is one."""
-        if order < 1:
-            raise ValueError(f"order must be >= 1, got {order}")
-        if len(edges) != order - 1:
-            raise ValueError(f"a tree on {order} vertices needs {order - 1} edges, got {len(edges)}")
-        neighbors: list[list[int]] = [[] for _ in range(order)]
-        for u, v in edges:
-            if not (0 <= u < order and 0 <= v < order):
-                raise ValueError(f"edge ({u}, {v}) out of range for order {order}")
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        tree = cls(order, tuple(tuple(ns) for ns in neighbors))
-        if -1 in _distances(tree.adjacency, order, 0):
-            raise ValueError("edge list is not connected")
-        return tree
+def _adjacency(parents: Sequence[int]) -> list[list[int]]:
+    """Neighbour lists of the tree with these parents, checked to be one."""
+    if not parents or parents[0] != 0:
+        raise ValueError(f"a parent tuple starts with 0, got {tuple(parents)!r}")
+    neighbors: list[list[int]] = [[] for _ in parents]
+    for x in range(1, len(parents)):
+        parent = parents[x]
+        if not 0 <= parent < x:
+            raise ValueError(f"parents[{x}] must be in 0..{x - 1}, got {parent}")
+        neighbors[parent].append(x)
+        neighbors[x].append(parent)
+    return neighbors
 
 
 # ----------------------------------------------------------------------
@@ -123,24 +113,23 @@ def _advance_free(seq: list[int]) -> list[int] | None:
     return succ
 
 
-def _tree_from_levels(seq: list[int]) -> AdjacencyTree:
-    n = len(seq)
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    last_at_level = [0] * n
-    for v in range(1, n):
-        parent = last_at_level[seq[v] - 1]
-        neighbors[parent].append(v)
-        neighbors[v].append(parent)
+def _tree_from_levels(seq: list[int]) -> tuple[int, ...]:
+    """Parent tuple of a level sequence: each vertex hangs from the last
+    earlier vertex one level up, so ``parents[v] < v``."""
+    parents = [0] * len(seq)
+    last_at_level = [0] * len(seq)
+    for v in range(1, len(seq)):
+        parents[v] = last_at_level[seq[v] - 1]
         last_at_level[seq[v]] = v
-    return AdjacencyTree(n, tuple(tuple(ns) for ns in neighbors))
+    return tuple(parents)
 
 
-def enumerate_free_trees(n: int, emit: Callable[[AdjacencyTree], None]) -> None:
+def enumerate_free_trees(n: int, emit: Callable[[tuple[int, ...]], None]) -> None:
     """Emit every free tree of order n exactly once up to isomorphism."""
     if not 1 <= n <= MAX_ENUMERATION_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ENUMERATION_ORDER}, got {n}")
     if n == 1:
-        emit(AdjacencyTree(1, ((),)))
+        emit((0,))
         return
     # Start from the path rooted at its center, the largest valid sequence.
     layout: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
@@ -156,9 +145,9 @@ def enumerate_free_trees(n: int, emit: Callable[[AdjacencyTree], None]) -> None:
 # ----------------------------------------------------------------------
 
 
-def _distances(adjacency: Sequence[Sequence[int]], n: int, source: int) -> list[int]:
-    """Breadth-first distances from ``source``; -1 for unreachable vertices."""
-    dist = [-1] * n
+def _distances(adjacency: list[list[int]], source: int) -> list[int]:
+    """Breadth-first distances from ``source``."""
+    dist = [-1] * len(adjacency)
     dist[source] = 0
     queue = deque([source])
     while queue:
@@ -171,28 +160,33 @@ def _distances(adjacency: Sequence[Sequence[int]], n: int, source: int) -> list[
     return dist
 
 
-def transmissions_bfs(tree: AdjacencyTree) -> list[int]:
+def _transmissions(adjacency: list[list[int]]) -> list[int]:
+    return [sum(_distances(adjacency, v)) for v in range(len(adjacency))]
+
+
+def transmissions_bfs(parents: Sequence[int]) -> list[int]:
     """Transmission of every vertex, one breadth-first search per vertex."""
-    return [sum(_distances(tree.adjacency, tree.order, v)) for v in range(tree.order)]
+    return _transmissions(_adjacency(parents))
 
 
-def is_ti_graph(tree: AdjacencyTree) -> bool:
+def is_ti_graph(parents: Sequence[int]) -> bool:
     """True iff all vertex transmissions are pairwise distinct."""
+    adjacency = _adjacency(parents)
     seen = set()
-    for v in range(tree.order):
-        t = sum(_distances(tree.adjacency, tree.order, v))
+    for v in range(len(adjacency)):
+        t = sum(_distances(adjacency, v))
         if t in seen:
             return False
         seen.add(t)
     return True
 
 
-def _rooted_encoding(tree: AdjacencyTree, root: int) -> bytes:
+def _rooted_encoding(adjacency: list[list[int]], root: int) -> bytes:
     """Parenthesized encoding with children sorted by (subtree size, encoding)."""
 
     def encode(v: int, parent: int) -> bytes:
         subs = sorted(
-            (encode(w, v) for w in tree.adjacency[v] if w != parent),
+            (encode(w, v) for w in adjacency[v] if w != parent),
             key=lambda e: (len(e), e),
         )
         return b"(" + b"".join(subs) + b")"
@@ -200,7 +194,7 @@ def _rooted_encoding(tree: AdjacencyTree, root: int) -> bytes:
     return encode(root, -1)
 
 
-def canonical_form(tree: AdjacencyTree) -> bytes:
+def canonical_form(parents: Sequence[int]) -> bytes:
     """Byte string equal for two trees iff they are isomorphic.
 
     The tree is encoded rooted at its minimum-transmission vertices, one
@@ -208,6 +202,7 @@ def canonical_form(tree: AdjacencyTree) -> bytes:
     In a tree these vertices are exactly the centroid (Zelinka, 1968):
     for an edge vw, T(w) - T(v) = n - 2 * |w's side|.
     """
-    tr = transmissions_bfs(tree)
+    adjacency = _adjacency(parents)
+    tr = _transmissions(adjacency)
     low = min(tr)
-    return min(_rooted_encoding(tree, v) for v in range(tree.order) if tr[v] == low)
+    return min(_rooted_encoding(adjacency, v) for v in range(len(adjacency)) if tr[v] == low)

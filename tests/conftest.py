@@ -1,18 +1,12 @@
-"""Shared fixtures and conversion helpers for the test suite."""
+"""Shared fixtures and helpers for the test suite."""
 
 from __future__ import annotations
 
 import pytest
 
-from support import Parents, to_edge_list
-from titrees import AdjacencyTree
+from support import Parents
 from titrees.enumeration import generate_wti_trees
 from titrees.wti import SINGLE_VERTEX, join_wti_trees
-
-
-def adjacency_of(parents: Parents) -> AdjacencyTree:
-    """Rebuild a plain adjacency-list tree from the parent array."""
-    return AdjacencyTree.from_edges(len(parents), to_edge_list(parents))
 
 
 def ordered_encoding(parents: Parents) -> bytes:

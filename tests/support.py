@@ -15,12 +15,7 @@ from functools import reduce
 from operator import or_
 from typing import Callable, Sequence
 
-from titrees.oracle import (
-    MAX_ENUMERATION_ORDER,
-    AdjacencyTree,
-    _next_rooted_sequence,
-    _tree_from_levels,
-)
+from titrees.oracle import MAX_ENUMERATION_ORDER, _next_rooted_sequence, _tree_from_levels
 from titrees.wti import WTITree
 
 Edge = tuple[int, int]
@@ -32,11 +27,24 @@ def to_edge_list(parents: Parents) -> list[Edge]:
     return sorted((parents[x], x) for x in range(1, len(parents)))
 
 
-def parent_array(order: int, edges: Sequence[Edge]) -> Parents:
-    """The parent tuple whose edges (u, v), u < v, give parents[v] = u."""
-    parents = [0] * order
+def parents_from_edges(order: int, edges: Sequence[Edge]) -> Parents:
+    """Parent tuple of the tree with these edges on labels 0..order-1,
+    relabelled in breadth-first order from vertex 0."""
+    neighbors: list[list[int]] = [[] for _ in range(order)]
     for u, v in edges:
-        parents[v] = u
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    label = {0: 0}
+    parents = [0]
+    visit = [0]
+    for v in visit:
+        for w in neighbors[v]:
+            if w not in label:
+                label[w] = len(parents)
+                parents.append(label[v])
+                visit.append(w)
+    if len(parents) != order or len(edges) != order - 1:
+        raise ValueError(f"{len(edges)} edges do not form a tree on {order} vertices")
     return tuple(parents)
 
 
@@ -263,7 +271,7 @@ def validate_wti_tree(tree: WTITree) -> None:
 # ----------------------------------------------------------------------
 
 
-def enumerate_rooted_trees(n: int, emit: Callable[[AdjacencyTree], None]) -> None:
+def enumerate_rooted_trees(n: int, emit: Callable[[Parents], None]) -> None:
     """Emit every rooted tree of order n once, rooted at vertex 0."""
     if not 1 <= n <= MAX_ENUMERATION_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ENUMERATION_ORDER}, got {n}")

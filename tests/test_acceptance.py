@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import Counter
 
-from conftest import adjacency_of
 from support import (
     decode_graph6,
     decode_sparse6,
@@ -21,18 +19,17 @@ from support import (
     level_sets,
     level_transmissions,
     levels_from_parents,
+    parents_from_edges,
     prufer_to_edges,
     subtree_sizes_from_parents,
     to_edge_list,
 )
 from titrees import (
-    AdjacencyTree,
     canonical_form,
     cli,
     enumerate_free_trees,
     generate_ti_trees,
     graph6_line,
-    is_ti_graph,
     sparse6_line,
     transmissions_bfs,
 )
@@ -106,29 +103,18 @@ def test_criterion_3_census_stretch():
     )
 
 
-def test_criterion_4_oracle_equivalence():
+def test_criterion_4_oracle_equivalence(tmp_path):
     """Generator output equals the oracle's TI filter as canonical-form
-    multisets for every order up to 18."""
-    n_max = 18
-    generated: dict[int, Counter] = {k: Counter() for k in range(1, n_max + 1)}
-
-    def collect(parents):
-        generated[len(parents)][canonical_form(adjacency_of(parents))] += 1
-
-    generate_ti_trees(n_max, None, collect)
-
-    mismatches = []
-    for order in range(1, n_max + 1):
-        expected: Counter = Counter()
-
-        def check(tree: AdjacencyTree) -> None:
-            if is_ti_graph(tree):
-                expected[canonical_form(tree)] += 1
-
-        enumerate_free_trees(order, check)
-        if generated[order] != expected:
-            mismatches.append(order)
-    report("4 oracle equivalence n<=18", not mismatches, f"mismatched orders: {mismatches or 'none'}")
+    multisets for every order up to 18, as ``titrees verify 18`` reports."""
+    path = tmp_path / "verify.txt"
+    status = cli.main(["verify", "18", "--threads", "1", "--output", str(path)])
+    lines = path.read_text().splitlines()
+    passed = (
+        status == cli.EXIT_OK
+        and len(lines) == 18
+        and all(line == f"order {k}: OK ({KNOWN_TI_COUNTS[k]} trees)" for k, line in enumerate(lines, start=1))
+    )
+    report("4 oracle equivalence n<=18", passed, f"exit {status}, {len(lines)} lines")
 
 
 def test_criterion_5_oracle_self_check():
@@ -152,7 +138,7 @@ def test_criterion_5_oracle_self_check():
         via_levels: set[bytes] = set()
         enumerate_free_trees(n, lambda t: via_levels.add(canonical_form(t)))
         via_prufer = {
-            canonical_form(AdjacencyTree.from_edges(n, prufer_to_edges(code)))
+            canonical_form(parents_from_edges(n, prufer_to_edges(code)))
             for code in itertools.product(range(n), repeat=n - 2)
         }
         if via_prufer != via_levels:
@@ -173,7 +159,7 @@ def test_criterion_6_incremental_arithmetic():
     edges_ok = True
     for k in range(1, 13):
         for tree in pool[k]:
-            bfs = transmissions_bfs(adjacency_of(tree.parents))
+            bfs = transmissions_bfs(tree.parents)
             level = levels_from_parents(tree.parents)
             size = subtree_sizes_from_parents(tree.parents)
             path_sum = [0] * k

@@ -121,9 +121,18 @@ class TestVerifyMode:
         assert out.decode().startswith("order 1: OK")
 
     def test_respects_degree_bound(self, capsysbinary):
-        status, out = run_cli(capsysbinary, "verify", "9", "3", "--threads", "1")
-        assert status == 0
-        assert all("OK" in line for line in out.decode().splitlines())
+        # At m = 3 the cap leaves 5 of the 6 TI trees of order 11 and 16
+        # of the 24 of order 13, so the oracle's degree filter must drop
+        # trees for verify to pass.
+        for m in ("3", "4"):
+            status, out = run_cli(capsysbinary, "verify", "13", m, "--threads", "1")
+            assert status == 0
+            census = run_cli(capsysbinary, "-c", "13", m, "--threads", "1")[1].decode().split()
+            counts = dict(zip(census[::2], census[1::2]))
+            lines = out.decode().splitlines()
+            assert lines == [f"order {k}: OK ({counts[str(k)]} trees)" for k in range(1, 14)]
+            if m == "3":
+                assert (counts["11"], counts["13"]) == ("5", "16")
 
     def test_mismatch_exits_2(self, capsysbinary, monkeypatch):
         # Force the generator to drop one tree; verify must notice.

@@ -9,8 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ordered_encoding
-from support import enumerate_rooted_trees, validate_wti_tree
-from titrees import AdjacencyTree, transmissions_bfs
+from support import (
+    Parents,
+    enumerate_rooted_trees,
+    levels_from_parents,
+    subtree_sizes_from_parents,
+    validate_wti_tree,
+)
+from titrees import transmissions_bfs
 from titrees.enumeration import generate_increasing, generate_wti_trees
 
 
@@ -140,33 +146,20 @@ class TestGenerateWtiTrees:
         for k in range(1, 13):
             expected = set()
 
-            def consider(tree: AdjacencyTree) -> None:
-                n = tree.order
-                parent = [-1] * n
-                depth = [0] * n
+            def consider(parents: Parents) -> None:
+                n = len(parents)
+                depth = levels_from_parents(parents)
+                size = subtree_sizes_from_parents(parents)
                 children: list[list[int]] = [[] for _ in range(n)]
-                stack = [0]
-                seen_order = []
-                while stack:
-                    v = stack.pop()
-                    seen_order.append(v)
-                    for w in tree.adjacency[v]:
-                        if w != parent[v]:
-                            parent[w] = v
-                            depth[w] = depth[v] + 1
-                            children[v].append(w)
-                            stack.append(w)
-                size = [1] * n
-                for v in reversed(seen_order):
-                    if parent[v] >= 0:
-                        size[parent[v]] += size[v]
+                for v in range(1, n):
+                    children[parents[v]].append(v)
                 # Children of every vertex need pairwise distinct subtree
                 # orders for the tree to have an unbalanced arrangement.
                 for v in range(n):
                     sizes = [size[c] for c in children[v]]
                     if len(set(sizes)) != len(sizes):
                         return
-                tr = transmissions_bfs(tree)
+                tr = transmissions_bfs(parents)
                 by_level: dict[int, list[int]] = {}
                 for v in range(n):
                     by_level.setdefault(depth[v], []).append(tr[v])

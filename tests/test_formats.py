@@ -11,14 +11,13 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
-from conftest import adjacency_of
 from support import (
     chain_edges,
     decode_graph6,
     decode_sparse6,
     level_transmissions,
     levels_from_parents,
-    parent_array,
+    parents_from_edges,
     star_edges,
     to_edge_list,
 )
@@ -88,7 +87,7 @@ class TestGraph6:
     def test_multibyte_order_field(self):
         # A star on 63 vertices forces the three-byte order escape.
         edges = star_edges(63)
-        parents = parent_array(63, edges)
+        parents = parents_from_edges(63, edges)
         graph = nx_graph(63, edges)
         g6, s6 = graph6_line(parents), sparse6_line(parents)
         assert g6[:1] == bytes([126]) and s6[:2] == b":~"
@@ -131,7 +130,7 @@ class TestSparse6:
         # Orders 2, 4, 8, 16 are where sparse6 has a special padding rule,
         # and 63-65 need the three-byte order escape; the reference codec
         # is authoritative for both formats.
-        parents = parent_array(order, edges)
+        parents = parents_from_edges(order, edges)
         graph = nx_graph(order, edges)
         assert graph6_line(parents) == nx.to_graph6_bytes(graph, header=False)
         mine = sparse6_line(parents)
@@ -175,9 +174,8 @@ class TestParentList:
         for k in range(1, 13):
             for parents in pool_parents(pool12, k):
                 text = parent_list_line(parents).decode("ascii")
-                parsed = [int(token) for token in text.split()]
-                assert (0, *parsed) == parents
-                rebuilt = adjacency_of(parents)
+                rebuilt = (0, *(int(token) for token in text.split()))
+                assert rebuilt == parents
                 bfs = transmissions_bfs(rebuilt)
                 level = levels_from_parents(parents)
                 for i, values in enumerate(level_transmissions(parents)):

@@ -12,7 +12,6 @@ import random
 
 import pytest
 
-from conftest import adjacency_of
 from reference_join import reference_is_ti_tree, reference_join, reference_pool
 from reference_scan import _masked_collection, _scan_products, _sliced_pool
 from support import get_max_degree, is_ti_tree, level_transmissions, validate_wti_tree, wti_from_parents
@@ -118,7 +117,7 @@ class TestIsTiTree:
         # distinct transmissions, the minimum 10 at the centre, vertex 2.
         tree = join_wti_trees([SINGLE_VERTEX, join_wti_trees([SINGLE_VERTEX, chains[3]])])
         assert tree.parents == (0, 0, 0, 2, 2, 4, 5)
-        assert transmissions_bfs(adjacency_of(tree.parents)) == [13, 18, 10, 15, 11, 14, 19]
+        assert transmissions_bfs(tree.parents) == [13, 18, 10, 15, 11, 14, 19]
         assert not is_ti_tree(tree)
 
 
@@ -358,7 +357,7 @@ class TestEmission:
             assert type(parents) is tuple and parents[0] == 0
             tree = wti_from_parents(parents)
             assert is_ti_tree(tree)
-            bfs = transmissions_bfs(adjacency_of(parents))
+            bfs = transmissions_bfs(parents)
             values = [t for level in level_transmissions(parents) for t in level]
             assert min(values) == bfs[0]
             assert sorted(values) == sorted(bfs)
@@ -366,7 +365,7 @@ class TestEmission:
 
     def test_exactly_once_up_to_isomorphism(self):
         forms = []
-        generate_ti_trees(14, None, lambda t: forms.append(canonical_form(adjacency_of(t))))
+        generate_ti_trees(14, None, lambda t: forms.append(canonical_form(t)))
         assert len(forms) == len(set(forms))
 
     def test_order_of_emission_is_nondecreasing(self):

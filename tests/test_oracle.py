@@ -8,14 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import enumerate_rooted_trees, prufer_to_edges
-from titrees import (
-    AdjacencyTree,
-    canonical_form,
-    enumerate_free_trees,
-    is_ti_graph,
-    transmissions_bfs,
-)
+from support import enumerate_rooted_trees, parents_from_edges, prufer_to_edges
+from titrees import canonical_form, enumerate_free_trees, is_ti_graph, transmissions_bfs
 from titrees.oracle import MAX_ENUMERATION_ORDER
 
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741]
@@ -40,12 +34,10 @@ class TestEnumeration:
             assert len(trees) == expected, f"order {n}"
 
     def test_emitted_trees_are_trees(self):
-        for tree in collect_free_trees(9):
-            assert tree.order == 9
-            assert sum(len(ns) for ns in tree.adjacency) == 2 * 8
-            # from_edges validates connectivity; round-trip through it
-            edges = [(u, v) for u in range(9) for v in tree.adjacency[u] if u < v]
-            AdjacencyTree.from_edges(9, edges)
+        for parents in collect_free_trees(9):
+            assert type(parents) is tuple and len(parents) == 9
+            assert parents[0] == 0
+            assert all(0 <= parents[x] < x for x in range(1, 9))
 
     def test_pairwise_nonisomorphic(self):
         for n in range(1, 11):
@@ -70,8 +62,7 @@ class TestPruferPath:
             via_levels = {canonical_form(t) for t in collect_free_trees(n)}
             via_prufer = set()
             for code in itertools.product(range(n), repeat=n - 2):
-                tree = AdjacencyTree.from_edges(n, prufer_to_edges(code))
-                via_prufer.add(canonical_form(tree))
+                via_prufer.add(canonical_form(parents_from_edges(n, prufer_to_edges(code))))
             assert via_prufer == via_levels
 
     def test_small_decodes(self):
@@ -81,35 +72,29 @@ class TestPruferPath:
 
 class TestTransmissions:
     def test_chain_of_three(self):
-        chain = AdjacencyTree.from_edges(3, [(0, 1), (1, 2)])
-        assert transmissions_bfs(chain) == [3, 2, 3]
+        assert transmissions_bfs((0, 0, 1)) == [3, 2, 3]
+        assert transmissions_bfs((0, 0, 0)) == [2, 3, 3]
 
     def test_single_vertex(self):
-        assert transmissions_bfs(AdjacencyTree(1, ((),))) == [0]
+        assert transmissions_bfs((0,)) == [0]
 
     def test_spider_7(self):
-        spider = AdjacencyTree.from_edges(
-            7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)]
-        )
+        spider = (0, 0, 0, 2, 0, 4, 5)
         assert sorted(transmissions_bfs(spider)) == [10, 11, 13, 14, 15, 18, 19]
         assert is_ti_graph(spider)
 
     def test_non_ti_examples(self):
-        chain = AdjacencyTree.from_edges(3, [(0, 1), (1, 2)])
-        assert not is_ti_graph(chain)
-        assert not is_ti_graph(AdjacencyTree.from_edges(2, [(0, 1)]))
+        assert not is_ti_graph((0, 0, 1))
+        assert not is_ti_graph((0, 0))
 
 
 class TestCanonicalForm:
     def test_relabelings_agree(self):
-        chain_a = AdjacencyTree.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        chain_b = AdjacencyTree.from_edges(4, [(2, 0), (0, 3), (3, 1)])
-        assert canonical_form(chain_a) == canonical_form(chain_b)
+        # The path on four vertices, rooted at an end and at an inner vertex.
+        assert canonical_form((0, 0, 1, 2)) == canonical_form((0, 0, 0, 2))
 
     def test_distinguishes_chain_from_star(self):
-        chain = AdjacencyTree.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        star = AdjacencyTree.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        assert canonical_form(chain) != canonical_form(star)
+        assert canonical_form((0, 0, 1, 2)) != canonical_form((0, 0, 0, 0))
 
     def test_six_ti_trees_of_order_eleven(self):
         forms = {
@@ -134,20 +119,14 @@ class TestCanonicalForm:
             )
             edges = prufer_to_edges(code)
         perm = data.draw(st.permutations(range(n)))
-        original = AdjacencyTree.from_edges(n, edges)
-        relabeled = AdjacencyTree.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+        original = parents_from_edges(n, edges)
+        relabeled = parents_from_edges(n, [(perm[u], perm[v]) for u, v in edges])
         assert canonical_form(original) == canonical_form(relabeled)
 
 
-class TestAdjacencyTreeValidation:
-    def test_rejects_wrong_edge_count(self):
+class TestParentTupleValidation:
+    @pytest.mark.parametrize("check", [transmissions_bfs, is_ti_graph, canonical_form])
+    @pytest.mark.parametrize("parents", [(), (1,), (0, 1), (0, -1), (0, 0, 3)], ids=repr)
+    def test_rejects_malformed_tuples(self, check, parents):
         with pytest.raises(ValueError):
-            AdjacencyTree.from_edges(3, [(0, 1)])
-
-    def test_rejects_disconnected(self):
-        with pytest.raises(ValueError):
-            AdjacencyTree.from_edges(4, [(0, 1), (2, 3), (0, 1)])
-
-    def test_rejects_out_of_range_labels(self):
-        with pytest.raises(ValueError):
-            AdjacencyTree.from_edges(2, [(0, 2)])
+            check(parents)

@@ -13,14 +13,12 @@ from pathlib import Path
 import pytest
 
 import titrees
-from titrees import AdjacencyTree
 from titrees.wti import SINGLE_VERTEX, join_wti_trees
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 
 LIBRARY = [
-    "AdjacencyTree",
     "canonical_form",
     "enumerate_free_trees",
     "generate_ti_trees",
@@ -111,9 +109,8 @@ def test_sources_parse_as_python_3_10():
     "record, fields",
     [
         (join_wti_trees([SINGLE_VERTEX, join_wti_trees([SINGLE_VERTEX])]), ("order", "parents", "levels")),
-        (AdjacencyTree.from_edges(3, [(0, 1), (1, 2)]), ("order", "adjacency")),
     ],
-    ids=["WTITree", "AdjacencyTree"],
+    ids=["WTITree"],
 )
 def test_tree_records_are_immutable_named_tuples(record, fields):
     assert type(record)._fields == fields

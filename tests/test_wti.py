@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 import titrees
-from conftest import adjacency_of
 from support import (
     level_path_sums,
     level_sets,
@@ -30,7 +29,7 @@ from titrees.wti import SINGLE_VERTEX, join_wti_trees
 
 
 def bfs_transmissions(tree):
-    return transmissions_bfs(adjacency_of(tree.parents))
+    return transmissions_bfs(tree.parents)
 
 
 class TestRootTransmissionOfJoin:
@@ -185,7 +184,7 @@ class TestPoolAgainstBfsOracle:
         # identity derives must match exactly (ascending label order).
         for k in range(1, 13):
             for tree in pool12[k]:
-                bfs = transmissions_bfs(adjacency_of(tree.parents))
+                bfs = transmissions_bfs(tree.parents)
                 level = levels_from_parents(tree.parents)
                 grouped = [
                     tuple(bfs[v] for v in range(tree.order) if level[v] == i)
@@ -199,7 +198,7 @@ class TestPoolAgainstBfsOracle:
         # doubled path sums derived from the parent array.
         for k in range(1, 13):
             for tree in pool12[k]:
-                bfs = transmissions_bfs(adjacency_of(tree.parents))
+                bfs = transmissions_bfs(tree.parents)
                 level = levels_from_parents(tree.parents)
                 expected = [set() for _ in tree.levels]
                 for v in range(tree.order):
@@ -212,7 +211,7 @@ class TestPoolAgainstBfsOracle:
         # by (order - 2 * child subtree size).
         for k in range(1, 11):
             for tree in pool12[k]:
-                bfs = transmissions_bfs(adjacency_of(tree.parents))
+                bfs = transmissions_bfs(tree.parents)
                 size = subtree_sizes_from_parents(tree.parents)
                 for x in range(1, tree.order):
                     assert bfs[x] - bfs[tree.parents[x]] == tree.order - 2 * size[x]
