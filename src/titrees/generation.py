@@ -19,7 +19,8 @@ k - 2s (Zelinka 1968), and every subtree on the way has s < k/2
 vertices, so every offset is positive.  Each pool tree gets a bitmask
 of offsets and a candidate is TI, with the root as its unique minimum,
 exactly when the chosen masks are pairwise disjoint.  That is the one
-proof of TI: an emitted tree is joined only to build its parent tuple.
+proof of TI: emission joins the chosen prefix once per visit of the
+last coordinate, and each tree there is one tuple concatenation.
 
 The disjointness test is bit-sliced, as in the vertical bitsets of
 bit-parallel clique search (San Segundo, Rodriguez-Losada and Jimenez,
@@ -152,12 +153,17 @@ class OrderPool(NamedTuple):
     k: its offsets are pairwise distinct.  The order must exceed 2c, as
     every phase-2 order does; then every offset is positive (see the
     module docstring), so no vertex ties or undercuts the root.
+    ``tails[j]`` is tree j's parent tuple relabelled as the last root
+    subtree at order k, which starts at vertex k - c and hangs off the
+    root; an emitted tree is a joined prefix plus a tail.  ``tails`` is
+    None in a run that only counts.
     """
 
     table: KeyTable
     offsets: list[int]
     columns: list[int]
     full: int
+    tails: list[tuple[int, ...]] | None
 
 
 def _order_pool(table: KeyTable, joined_order: int) -> OrderPool:
@@ -169,7 +175,9 @@ def _order_pool(table: KeyTable, joined_order: int) -> OrderPool:
         # A tree already in the column has another vertex at offset b.
         invalid |= columns[b] & members
         columns[b] |= members
-    return OrderPool(table, offsets, columns, ((1 << table.size) - 1) & ~invalid)
+    shift = joined_order - table.order
+    tails = None if table.trees is None else [(0, *map(shift.__add__, t.parents[1:])) for t in table.trees]
+    return OrderPool(table, offsets, columns, ((1 << table.size) - 1) & ~invalid, tails)
 
 
 class _ClashRows(dict):
@@ -228,27 +236,31 @@ def _scan_sequence(
     counting run costs one ``bit_count()``; emission walks the allowed
     indices in increasing order, so trees arrive in pool order.
 
-    A reachable tuple is TI by that alone, so emission joins the chosen
-    trees only to build the parent tuple passed to ``func``; a join that
-    returns None would mean wrong masks and raises RuntimeError.
+    A reachable tuple is TI by that alone.  Emission joins the chosen
+    prefix once per visit of the last coordinate with an allowed tree
+    (its masks are disjoint, so the join is WTI) and passes ``func`` its
+    parent tuple plus the tail of each allowed tree (see ``OrderPool``),
+    one tuple concatenation per tree.  A join that returns None would
+    mean wrong masks and raises RuntimeError.
     """
     count = 0
     last = len(pools) - 1
-    chosen: list[WTITree | None] = [None] * len(pools)
+    chosen: list[WTITree | None] = [None] * last
 
     def walk(i: int, forbidden: list[int]) -> None:
         nonlocal count
         pool = pools[i]
-        trees = pool.table.trees
         allowed = pool.full & ~forbidden[0]
         if i == last:
+            if not allowed:
+                return
+            joined = join_wti_trees(chosen)
+            if joined is None:
+                raise RuntimeError(f"offset masks admitted a non-TI join of order {k}")
+            head, tails = joined.parents, pool.tails
+            count += allowed.bit_count()
             for j in _set_bits(allowed):
-                count += 1
-                chosen[i] = trees[j]
-                joined = join_wti_trees(chosen)
-                if joined is None:
-                    raise RuntimeError(f"offset masks admitted a non-TI join of order {k}")
-                func(joined.parents)
+                func(head + tails[j])
         elif i == last - 1 and func is None:
             # A count needs only a popcount of the last coordinate, so
             # it ends the walk here (sequences have at least 3 parts).
@@ -258,6 +270,7 @@ def _scan_sequence(
             for j in _set_bits(allowed):
                 count += size - (tail & rows[j]).bit_count()
         else:
+            trees = pool.table.trees
             later = list(zip(clash[i], forbidden[1:]))
             for j in _set_bits(allowed):
                 if func is not None:

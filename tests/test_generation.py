@@ -214,9 +214,11 @@ class TestBitSlicedScanAgainstReference:
             assert total > 0
 
     @pytest.mark.parametrize("m", [None, 3])
-    def test_emission_order_per_sequence_through_20(self, m):
+    def test_emission_order_per_sequence_through_22(self, m):
+        # The reference joins every emitted tree whole; the package joins
+        # each prefix once and appends relabelled tails to it.
         emitted = False
-        for k, _, alone, whole, ref in scan_against_reference(20, m, emit=True):
+        for k, _, alone, whole, ref in scan_against_reference(22, m, emit=True):
             assert alone == ref, k
             assert whole == [parents for trees in ref for parents in trees], k
             emitted |= bool(whole)
@@ -388,6 +390,18 @@ class TestEmission:
         checked = collections.Counter()
         census = generate_ti_trees(n, m, lambda parents: checked.update([is_ti_tree(wti_from_parents(parents))]))
         assert checked == {True: sum(census.values())}
+
+    def test_a_prefix_is_joined_once_for_all_trees_of_its_last_coordinate(self, monkeypatch):
+        # A join per emitted tree would make 43,772 calls at order 24.
+        calls = collections.Counter()
+
+        def counted(children):
+            calls["join"] += 1
+            return join_wti_trees(children)
+
+        monkeypatch.setattr(generation, "join_wti_trees", counted)
+        census = generate_ti_trees(24, None, lambda parents: None)
+        assert 0 < 10 * calls["join"] < sum(census.values())
 
     def test_non_ti_join_is_an_error_not_an_assert(self, monkeypatch):
         # Only the phase-2 joins: phase 1 calls its own binding.
