@@ -8,6 +8,14 @@ ended by ``b"\n"``, so a stream of trees is the concatenation of their
 lines.  graph6 and sparse6 follow the published format description
 (McKay, formats.txt) byte for byte, as networkx's ``to_graph6_bytes`` and
 ``to_sparse6_bytes`` with ``header=False`` write them.
+
+Each format writes, for every vertex x, a piece that depends only on x,
+``parents[x]`` and n, so ``segment(entries, first, n)`` encodes vertices
+``first, first + 1, ...`` alone, and a tree's line is ``finish`` of the
+sum of segments that cover it.  graph6 and sparse6 segments are ints with
+disjoint bits, the line before ``translate(_PRINTABLE)`` with one byte per
+6-bit group; the header, padding and newline go with vertex 0.  Parent-list
+segments are bytes: each number and a space, or the newline after n - 1's.
 """
 
 from __future__ import annotations
@@ -17,8 +25,9 @@ __all__ = ["GRAPH6_MAX_ORDER", "graph6_line", "sparse6_line", "parent_list_line"
 # The three-byte order escape tops out at 2^18 - 1 vertices.
 GRAPH6_MAX_ORDER = 258047
 
-# Adds 63 to every 6-bit group, moving it into the printable range.
+# Adds 63 to every 6-bit group, moving it into the printable range; _RAW undoes it.
 _PRINTABLE = bytes((b + 63) % 256 for b in range(256))
+_RAW = bytes((b - 63) % 256 for b in range(256))
 
 
 def _check_order(order: int) -> None:
@@ -26,10 +35,45 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order must be in 1..{GRAPH6_MAX_ORDER}, got {order}")
 
 
-def _encode_order(order: int) -> bytes:
-    if order <= 62:
-        return bytes([order + 63])
-    return bytes([126, 63 + (order >> 12 & 63), 63 + (order >> 6 & 63), 63 + (order & 63)])
+def _frame(tag: bytes, order: int, groups: int) -> int:
+    """The untranslated line of ``tag``, the order, ``groups`` empty groups and the newline."""
+    _check_order(order)
+    if order > 62:  # the three-byte order escape
+        tag += bytes([126, 63 + (order >> 12 & 63), 63 + (order >> 6 & 63)])
+    return int.from_bytes((tag + bytes([63 + (order & 63)]) + b"?" * groups + b"\n").translate(_RAW), "big")
+
+
+def _to_line(segment: int) -> bytes:
+    # The first byte, ':' or the order's, is never 0 before translation.
+    return segment.to_bytes((segment.bit_length() + 7) // 8, "big").translate(_PRINTABLE)
+
+
+def _graph6_segment(entries: tuple[int, ...], first: int, n: int) -> int:
+    groups = (n * (n - 1) // 2 + 5) // 6
+    bits = bytearray(groups)
+    for x in range(max(first, 1), first + len(entries)):
+        pos = x * (x - 1) // 2 + entries[x - first]
+        bits[pos // 6] |= 32 >> pos % 6
+    return (_frame(b"", n, groups) if first == 0 else 0) | int.from_bytes(bits, "big") << 8
+
+
+def _sparse6_segment(entries: tuple[int, ...], first: int, n: int) -> int:
+    field = max(1, (n - 1).bit_length()) + 1  # the 1-bit and the k-bit parent
+    groups = ((n - 1) * field + 5) // 6
+    segment = _frame(b":", n, groups) if first == 0 else 0
+    stream = (1 << 6 * groups - (n - 1) * field) - 1 if first == 0 else 0  # the padding
+    run = 0
+    for parent in entries[1:] if first == 0 else entries:
+        run = run << field | 1 << field - 1 | parent
+    stream |= run << 6 * groups - (first + len(entries) - 1) * field  # vertex x's field ends at bit x * field
+    spread = bytes(stream >> 6 * i & 63 for i in reversed(range((stream.bit_length() + 5) // 6)))
+    return segment | int.from_bytes(spread, "big") << 8  # one byte per 6-bit group
+
+
+def _parent_list_segment(entries: tuple[int, ...], first: int, n: int) -> bytes:
+    text = " ".join(map(str, entries[1:] if first == 0 else entries))
+    end = "\n" if first + len(entries) == n else " " if text else ""
+    return (text + end).encode("ascii")
 
 
 def graph6_line(parents: tuple[int, ...]) -> bytes:
@@ -39,13 +83,7 @@ def graph6_line(parents: tuple[int, ...]) -> bytes:
     bit x(x-1)/2 + parents[x]; bits are packed big-endian into 6-bit
     groups, zero-padded.
     """
-    n = len(parents)
-    _check_order(n)
-    groups = bytearray((n * (n - 1) // 2 + 5) // 6)
-    for x in range(1, n):
-        pos = x * (x - 1) // 2 + parents[x]
-        groups[pos // 6] |= 32 >> pos % 6
-    return _encode_order(n) + groups.translate(_PRINTABLE) + b"\n"
+    return _to_line(_graph6_segment(parents, 0, len(parents)))
 
 
 def sparse6_line(parents: tuple[int, ...]) -> bytes:
@@ -57,25 +95,18 @@ def sparse6_line(parents: tuple[int, ...]) -> bytes:
     stream ends at vertex n - 1, so padding it with 1-bits to a whole
     6-bit group only advances past the last vertex and adds no edge.
     """
-    n = len(parents)
-    _check_order(n)
-    k = max(1, (n - 1).bit_length())
-    advance = 1 << k
-    groups = bytearray()
-    pending = width = 0
-    for x in range(1, n):
-        pending = pending << (k + 1) | advance | parents[x]
-        width += k + 1
-        while width >= 6:
-            width -= 6
-            groups.append(pending >> width)
-            pending &= (1 << width) - 1
-    if width:
-        pad = 6 - width
-        groups.append(pending << pad | (1 << pad) - 1)
-    return b":" + _encode_order(n) + groups.translate(_PRINTABLE) + b"\n"
+    return _to_line(_sparse6_segment(parents, 0, len(parents)))
 
 
 def parent_list_line(parents: tuple[int, ...]) -> bytes:
     """One text line with the parents of vertices 1..n-1; just the newline for K1."""
-    return (" ".join(map(str, parents[1:])) + "\n").encode("ascii")
+    return _parent_list_segment(parents, 0, len(parents))
+
+
+# Each shipped encoder's (segment, finish), keyed by the function itself: a
+# wrapper, even a functools.wraps one, is not a key.  bytes(b) is b.
+_SEGMENTS = {
+    graph6_line: (_graph6_segment, _to_line),
+    sparse6_line: (_sparse6_segment, _to_line),
+    parent_list_line: (_parent_list_segment, bytes),
+}

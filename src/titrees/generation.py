@@ -19,8 +19,8 @@ k - 2s (Zelinka 1968), and every subtree on the way has s < k/2
 vertices, so every offset is positive.  Each pool tree gets a bitmask
 of offsets and a candidate is TI, with the root as its unique minimum,
 exactly when the chosen masks are pairwise disjoint.  That is the one
-proof of TI: emission joins the chosen prefix once per visit of the
-last coordinate, and each tree there is one tuple concatenation.
+proof of TI: emission joins and encodes the chosen prefix once per
+visit of the last coordinate, and a tree is one add and one finish.
 
 The disjointness test is bit-sliced, as in the vertical bitsets of
 bit-parallel clique search (San Segundo, Rodriguez-Losada and Jimenez,
@@ -59,11 +59,14 @@ from operator import or_
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .enumeration import IncreasingSequence, WTIPool, generate_increasing, generate_wti_trees
+from .formats import _SEGMENTS
 from .wti import WTITree, join_wti_trees
 
 __all__ = ["generate_ti_trees"]
 
-TreeCallback = Callable[[tuple[int, ...]], None]
+TreeCallback = Callable[[Any], None]
+# An emitting run's (func, segment, finish): func(finish(sum of segments)).
+Emit = tuple[TreeCallback, Callable[[tuple[int, ...], int, int], Any], Callable[[Any], Any]]
 
 # One parallel phase-2 task: a joined order and a contiguous chunk of its
 # root-subtree order sequences (see ``_tasks``).
@@ -153,20 +156,20 @@ class OrderPool(NamedTuple):
     k: its offsets are pairwise distinct.  The order must exceed 2c, as
     every phase-2 order does; then every offset is positive (see the
     module docstring), so no vertex ties or undercuts the root.
-    ``tails[j]`` is tree j's parent tuple relabelled as the last root
-    subtree at order k, which starts at vertex k - c and hangs off the
-    root; an emitted tree is a joined prefix plus a tail.  ``tails`` is
-    None in a run that only counts.
+    ``tails[j]`` is the segment of tree j's parent tuple relabelled as the
+    last root subtree at order k, which starts at vertex k - c and hangs
+    off the root; an emitted tree is the finished sum of a joined prefix's
+    segment and a tail.  ``tails`` is None without a ``segment``.
     """
 
     table: KeyTable
     offsets: list[int]
     columns: list[int]
     full: int
-    tails: list[tuple[int, ...]] | None
+    tails: list[Any] | None
 
 
-def _order_pool(table: KeyTable, joined_order: int) -> OrderPool:
+def _order_pool(table: KeyTable, joined_order: int, segment: Callable | None = None) -> OrderPool:
     """Re-index a key table for one joined order k > 2c: one OR per key."""
     offsets = [a + m * joined_order for a, m in table.keys]
     columns = [0] * (joined_order * joined_order)
@@ -176,7 +179,7 @@ def _order_pool(table: KeyTable, joined_order: int) -> OrderPool:
         invalid |= columns[b] & members
         columns[b] |= members
     shift = joined_order - table.order
-    tails = None if table.trees is None else [(0, *map(shift.__add__, t.parents[1:])) for t in table.trees]
+    tails = segment and [segment((0, *map(shift.__add__, t.parents[1:])), shift, joined_order) for t in table.trees]
     return OrderPool(table, offsets, columns, ((1 << table.size) - 1) & ~invalid, tails)
 
 
@@ -217,12 +220,7 @@ def _set_bits(x: int) -> Iterator[int]:
         x ^= low
 
 
-def _scan_sequence(
-    k: int,
-    pools: Sequence[OrderPool],
-    clash: Sequence[Sequence[_ClashRows]],
-    func: TreeCallback | None,
-) -> int:
+def _scan_sequence(k: int, pools: Sequence[OrderPool], clash: Sequence[Sequence[_ClashRows]], emit: Emit | None) -> int:
     """Count (and optionally emit) the TI joins of order k over one sequence.
 
     ``pools`` holds the order-k pool of each part of the sequence, none
@@ -238,10 +236,10 @@ def _scan_sequence(
 
     A reachable tuple is TI by that alone.  Emission joins the chosen
     prefix once per visit of the last coordinate with an allowed tree
-    (its masks are disjoint, so the join is WTI) and passes ``func`` its
-    parent tuple plus the tail of each allowed tree (see ``OrderPool``),
-    one tuple concatenation per tree.  A join that returns None would
-    mean wrong masks and raises RuntimeError.
+    (its masks are disjoint, so the join is WTI) and, ``emit`` being
+    (func, segment, finish), encodes it once as ``segment(parents, 0, k)``;
+    ``func`` gets ``finish(head + tail)`` for the tail of each allowed tree
+    (see ``OrderPool``).  A join returning None means wrong masks: RuntimeError.
     """
     count = 0
     last = len(pools) - 1
@@ -257,11 +255,12 @@ def _scan_sequence(
             joined = join_wti_trees(chosen)
             if joined is None:
                 raise RuntimeError(f"offset masks admitted a non-TI join of order {k}")
-            head, tails = joined.parents, pool.tails
+            func, segment, finish = emit
+            head, tails = segment(joined.parents, 0, k), pool.tails
             count += allowed.bit_count()
             for j in _set_bits(allowed):
-                func(head + tails[j])
-        elif i == last - 1 and func is None:
+                func(finish(head + tails[j]))
+        elif i == last - 1 and emit is None:
             # A count needs only a popcount of the last coordinate, so
             # it ends the walk here (sequences have at least 3 parts).
             rows = clash[i][0]
@@ -273,7 +272,7 @@ def _scan_sequence(
             trees = pool.table.trees
             later = list(zip(clash[i], forbidden[1:]))
             for j in _set_bits(allowed):
-                if func is not None:
+                if emit is not None:
                     chosen[i] = trees[j]
                 walk(i + 1, [rows[j] | hit for rows, hit in later])
 
@@ -295,6 +294,10 @@ def _phase2_sequences(k: int, max_children: int) -> list[IncreasingSequence]:
 # ----------------------------------------------------------------------
 
 
+def _entries(entries: tuple[int, ...], first: int, n: int) -> tuple[int, ...]:
+    return entries
+
+
 def _build_subtree_pools(n: int, m_eff: int) -> WTIPool:
     """Phase 1: the WTI components of the root subtrees, by order.
 
@@ -307,7 +310,7 @@ def _build_subtree_pools(n: int, m_eff: int) -> WTIPool:
 
 
 def _scan_order(
-    tables: dict[int, KeyTable], k: int, sequences: Sequence[IncreasingSequence], func: TreeCallback | None
+    tables: dict[int, KeyTable], k: int, sequences: Sequence[IncreasingSequence], emit: Emit | None
 ) -> int:
     """Count (and optionally emit) the TI joins of order k over ``sequences``.
 
@@ -319,7 +322,7 @@ def _scan_order(
     it otherwise.  The rows are a pure cache: any list of sequences of
     order k, in any order, gives the sum of their counts.
     """
-    pools = {s: _order_pool(tables[s], k) for s in {s for seq in sequences for s in seq}}
+    pools = {s: _order_pool(tables[s], k, emit and emit[1]) for s in {s for seq in sequences for s in seq}}
     last_use = {pair: i for i, seq in enumerate(sequences) for pair in combinations(seq, 2)}
     pairs: dict[tuple[int, int], _ClashRows] = {}
     count = 0
@@ -337,7 +340,7 @@ def _scan_order(
                     rows.keep = prefixes > 1 or (s, later) not in final
                     clash[p].append(rows)
                 prefixes *= pools[s].full.bit_count()
-            count += _scan_sequence(k, [pools[s] for s in seq], clash, func)
+            count += _scan_sequence(k, [pools[s] for s in seq], clash, emit)
         for pair in final:
             pairs.pop(pair, None)
     return count
@@ -383,6 +386,8 @@ def generate_ti_trees(
     ``func`` receives bytes instead: the calls concatenate to
     ``encoder(parents)`` of every tree in emission order, one call per
     tree in a serial run and at most one per task in a parallel one.
+    The shipped encoders themselves, not wrappers of them, are applied by
+    segments that are each encoded once; any other runs once per tree.
     The returned census is a dict that maps every order 1..n, in
     increasing order, to its number of emitted trees, zero included.
     ``m=None`` means unbounded degree.  Trees arrive by order, then by
@@ -412,10 +417,13 @@ def generate_ti_trees(
         raise ValueError("emitting from more than one worker needs an encoder")
     m_eff = n - 1 if m is None else m
     census = dict.fromkeys(range(1, n + 1), 0)
-    emit = func if func is None or encoder is None else lambda parents: func(encoder(parents))
     census[1] = 1
+    # A shipped encoder, the very function, encodes by segment; any other (tuple if none) per tree.
+    shipped = next((pair for key, pair in _SEGMENTS.items() if key is encoder), None)
+    emit = None if func is None else (func, *(shipped or (_entries, encoder or tuple)))
     if emit is not None:
-        emit((0,))
+        _, segment, finish = emit
+        func(finish(segment((0,), 0, 1)))
     subtrees = _build_subtree_pools(n, m_eff)
     # Keyed here, before any worker starts, so no worker keys a pool again.
     tables = {s: _key_table(s, subtrees[s]) for s in range(1, len(subtrees))}
@@ -447,7 +455,7 @@ def generate_ti_trees(
         max_workers=workers,
         mp_context=ctx,
         initializer=_worker_init,
-        initargs=(tables, encoder if func is not None else None),
+        initargs=(tables, emit and emit[1:]),
     )
     try:
         submitted = (executor.submit(_worker_task, task) for task in tasks)
@@ -467,21 +475,21 @@ def generate_ti_trees(
 
 # Set in each worker process by the initializer.
 _worker_tables: dict[int, KeyTable]
-_worker_encoder: Callable[[tuple[int, ...]], bytes] | None
+_worker_codec: tuple | None  # (segment, finish) when the run emits
 
 
-def _worker_init(tables: dict[int, KeyTable], encoder: Callable[[tuple[int, ...]], bytes] | None) -> None:
-    global _worker_tables, _worker_encoder
+def _worker_init(tables: dict[int, KeyTable], codec: tuple | None) -> None:
+    global _worker_tables, _worker_codec
     # Ctrl-C is the parent's to handle; it stops the pool.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _worker_tables, _worker_encoder = tables, encoder
+    _worker_tables, _worker_codec = tables, codec
 
 
 def _worker_task(task: Task) -> tuple[int, bytes]:
     """Scan one task: its count and its trees' encodings end to end."""
     k, sequences = task
     block = bytearray()
-    emit = None if _worker_encoder is None else lambda parents: block.extend(_worker_encoder(parents))
+    emit = None if _worker_codec is None else (block.extend, *_worker_codec)
     count = _scan_order(_worker_tables, k, sequences, emit)
     # Sent as bytes: pickle protocol 4 sends a bytearray through a bytes
     # copy, one more copy of the block in each process.

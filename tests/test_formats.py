@@ -3,14 +3,19 @@
 networkx serves as the reference codec: our encoders must agree with it
 byte for byte, and our independently written decoders must invert them.
 The encoders take parent tuples, as the generator emits them; edge
-lists only describe the reference side.
+lists only describe the reference side.  The segment encoders are also
+checked against the loop encoders of ``reference_formats.py``, split by
+split and over the generator's whole stream.
 """
 
 from __future__ import annotations
 
+import random
+
 import networkx as nx
 import pytest
 
+import reference_formats
 from support import (
     chain_edges,
     decode_graph6,
@@ -21,8 +26,17 @@ from support import (
     star_edges,
     to_edge_list,
 )
-from titrees import generate_ti_trees, graph6_line, parent_list_line, sparse6_line, transmissions_bfs
-from titrees.formats import GRAPH6_MAX_ORDER
+from titrees import (
+    enumerate_free_trees,
+    generate_ti_trees,
+    graph6_line,
+    parent_list_line,
+    sparse6_line,
+    transmissions_bfs,
+)
+from titrees.formats import GRAPH6_MAX_ORDER, _SEGMENTS
+
+ENCODERS = [graph6_line, sparse6_line, parent_list_line]
 
 
 def nx_graph(order, edges):
@@ -181,3 +195,56 @@ class TestParentList:
                 for i, values in enumerate(level_transmissions(parents)):
                     labels = [v for v in range(k) if level[v] == i]
                     assert tuple(bfs[v] for v in labels) == values
+
+
+def reference_line(encoder, parents):
+    """The line of the reference loop encoder of the same name."""
+    return getattr(reference_formats, encoder.__name__)(parents)
+
+
+def split_trees():
+    """Every free tree through order 10, then a star, a path and random
+    trees at the orders where sparse6's field widens (2^j, 2^j + 1) and
+    graph6's order header escapes (63)."""
+    for n in range(1, 11):
+        trees: list = []
+        enumerate_free_trees(n, trees.append)
+        yield from trees
+    rng = random.Random(2025)
+    for n in (15, 16, 17, 31, 32, 33, 62, 63, 64, 65, 300):
+        yield (0,) * n
+        yield (0, *range(n - 1))
+        for _ in range(3):
+            yield (0, *(rng.randrange(x) for x in range(1, n)))
+
+
+class TestSegmentsAgainstReference:
+    @pytest.mark.parametrize("encoder", ENCODERS, ids=lambda e: e.__name__)
+    def test_every_split_adds_up_to_the_reference_line(self, encoder):
+        # A segment from vertex 0 holds the header and the newline, so the
+        # cut runs over the splits into two non-empty runs.
+        segment, finish = _SEGMENTS[encoder]
+        orders = set()
+        for parents in split_trees():
+            n = len(parents)
+            expected = reference_line(encoder, parents)
+            assert encoder(parents) == expected, parents
+            for cut in range(1, n):
+                head, tail = segment(parents[:cut], 0, n), segment(parents[cut:], cut, n)
+                assert finish(head + tail) == expected, (parents, cut)
+            orders.add(n)
+        assert orders >= set(range(1, 11)) | {16, 17, 63, 64, 65, 300}
+
+    @pytest.mark.parametrize("m", [None, 3])
+    def test_the_emitted_stream_is_the_reference_encoding_of_the_tuples(self, m):
+        # Every tree through order 22, serial and from two workers; the
+        # generator adds up each tree from a prefix and a tail segment.
+        trees: list = []
+        census = generate_ti_trees(22, m, trees.append)
+        assert len(trees) == sum(census.values()) > 4000
+        for encoder in ENCODERS:
+            expected = b"".join(reference_line(encoder, parents) for parents in trees)
+            for workers in (1, 2):
+                lines: list[bytes] = []
+                assert generate_ti_trees(22, m, lines.append, workers=workers, encoder=encoder) == census
+                assert b"".join(lines) == expected, (encoder.__name__, workers)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import collections
 import concurrent.futures
+import functools
 import itertools
 import math
 import multiprocessing
 import os
+import pickle
 import random
 
 import pytest
@@ -17,6 +19,7 @@ from reference_scan import _masked_collection, _scan_products, _sliced_pool
 from support import get_max_degree, is_ti_tree, level_transmissions, validate_wti_tree, wti_from_parents
 from titrees import (
     canonical_form,
+    formats,
     generate_ti_trees,
     generation,
     graph6_line,
@@ -27,6 +30,7 @@ from titrees import (
 from titrees.enumeration import generate_increasing
 from titrees.generation import (
     _build_subtree_pools,
+    _entries,
     _key_table,
     _order_pool,
     _phase2_sequences,
@@ -171,6 +175,11 @@ def collect(scan, emit: bool):
     return emitted
 
 
+def as_tuples(func):
+    """The ``emit`` argument of ``_scan_order`` that passes ``func`` parent tuples."""
+    return None if func is None else (func, _entries, tuple)
+
+
 def scan_against_reference(n: int, m: int | None, emit: bool, rng: random.Random | None = None):
     """Run both phase-2 kernels on every order k <= n.
 
@@ -197,9 +206,10 @@ def scan_against_reference(n: int, m: int | None, emit: bool, rng: random.Random
         if rng is not None:
             rng.shuffle(sequences)
         masked = {s: _masked_collection(ref_subtrees[s], k) for s in {s for seq in sequences for s in seq}}
-        alone = [collect(lambda f: _scan_order(tables, k, [seq], f), emit) for seq in sequences]
+        alone = [collect(lambda f: _scan_order(tables, k, [seq], as_tuples(f)), emit) for seq in sequences]
         ref = [collect(lambda f: _scan_products(k, [seq], masked, f), emit) for seq in sequences]
-        yield k, sequences, alone, collect(lambda f: _scan_order(tables, k, sequences, f), emit), ref
+        whole = collect(lambda f: _scan_order(tables, k, sequences, as_tuples(f)), emit)
+        yield k, sequences, alone, whole, ref
 
 
 class TestBitSlicedScanAgainstReference:
@@ -677,3 +687,91 @@ class TestParallel:
         assert census == {k: expected[k] for k in range(1, n + 1)}
         assert lines.count(parent_list_line((0,))) == 1
         assert len(lines) == sum(census.values())
+
+
+def ti_trees_up_to(n: int) -> list[tuple[int, ...]]:
+    trees: list = []
+    generate_ti_trees(n, None, trees.append)
+    return trees
+
+
+class StopAtThePool(Exception):
+    """Raised by a stand-in process pool once it has seen its arguments."""
+
+
+class TestCodecs:
+    def test_a_wrapped_shipped_encoder_is_called_once_per_tree(self):
+        # Shipped encoders are recognised by identity, not by name or
+        # attributes: a functools.wraps wrapper, such as a tracer's, takes
+        # the per-tree path and must see every tree.
+        calls: list = []
+
+        @functools.wraps(graph6_line)
+        def wrapped(parents):
+            calls.append(parents)
+            return graph6_line(parents)
+
+        assert wrapped.__name__ == "graph6_line" and wrapped not in formats._SEGMENTS
+        lines: list[bytes] = []
+        census = generate_ti_trees(18, None, lines.append, encoder=wrapped)
+        shipped: list[bytes] = []
+        generate_ti_trees(18, None, shipped.append, encoder=graph6_line)
+        assert len(calls) == len(lines) == sum(census.values())
+        assert all(type(parents) is tuple for parents in calls)
+        assert lines == shipped
+
+    def test_a_shipped_encoder_encodes_each_prefix_and_tail_once(self, monkeypatch):
+        # A serial graph6 run never calls the per-tree encoder: it encodes
+        # segments, one per prefix visit and per relabelled tail, and each
+        # tree is one addition of two of them.
+        segment, finish = formats._SEGMENTS[graph6_line]
+        segments = collections.Counter()
+
+        def counted(entries, first, n):
+            segments[first == 0] += 1
+            return segment(entries, first, n)
+
+        monkeypatch.setitem(formats._SEGMENTS, graph6_line, (counted, finish))
+        lines: list[bytes] = []
+        census = generate_ti_trees(22, None, lines.append, encoder=graph6_line)
+        trees = sum(census.values())
+        assert lines == [graph6_line(parents) for parents in ti_trees_up_to(22)]
+        assert 0 < segments[True] < trees / 4 and 0 < segments[False] < trees / 4
+
+    @pytest.mark.parametrize("encoder", [graph6_line, sparse6_line, parent_list_line, shape_line])
+    def test_the_codec_a_worker_receives_pickles(self, encoder, monkeypatch):
+        # A spawned worker gets the codec through the pool's pickled
+        # initargs; a forked one never pickles it.
+        seen: list = []
+
+        def pool(*args, initargs, **kwargs):
+            seen.append(initargs[1])
+            raise StopAtThePool
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        with pytest.raises(StopAtThePool):
+            generate_ti_trees(18, None, lambda block: None, workers=2, encoder=encoder)
+        [codec] = seen
+        copy = pickle.loads(pickle.dumps(codec))
+        assert copy == codec
+        segment, finish = copy
+        for parents in ti_trees_up_to(11):
+            assert finish(segment(parents, 0, len(parents))) == encoder(parents)
+
+    def test_the_tuple_codec_pickles(self, monkeypatch):
+        # A run without an encoder passes parent tuples through the same
+        # (segment, finish) pair, built from picklable parts.
+        seen: list = []
+        real = generation._scan_order
+
+        def recording(tables, k, sequences, emit):
+            seen.append(emit[1:])
+            return real(tables, k, sequences, emit)
+
+        monkeypatch.setattr(generation, "_scan_order", recording)
+        trees: list = []
+        generate_ti_trees(11, None, trees.append)
+        codec = seen[0]
+        segment, finish = pickle.loads(pickle.dumps(codec))
+        assert (segment, finish) == codec and all(emit == codec for emit in seen)
+        assert all(finish(segment(parents, 0, len(parents))) == parents for parents in trees)
