@@ -3,10 +3,10 @@
 Every encoder takes the parent tuple of a tree, as the generator emits
 it: ``parents[0] == 0`` and ``parents[x] < x``, so the order n is
 ``len(parents)`` and the edges are (parents[x], x) for x = 1..n-1.  The
-single vertex is ``(0,)``.  Each returns one whole line,
-ended by ``b"\n"``, so a stream of trees is the concatenation of their
-lines.  graph6 and sparse6 follow the published format description
-(McKay, formats.txt) byte for byte, as networkx's ``to_graph6_bytes`` and
+single vertex is ``(0,)``.  Each returns one whole line, ended by
+``b"\n"``, so a stream of trees is the concatenation of their lines.
+graph6 and sparse6 follow the published format description (McKay,
+formats.txt) byte for byte, as networkx's ``to_graph6_bytes`` and
 ``to_sparse6_bytes`` with ``header=False`` write them.
 
 Each format writes, for every vertex x, a piece that depends only on x,
@@ -20,14 +20,16 @@ segments are bytes: each number and a space, or the newline after n - 1's.
 
 from __future__ import annotations
 
+from binascii import b2a_base64
+
 __all__ = ["GRAPH6_MAX_ORDER", "graph6_line", "sparse6_line", "parent_list_line"]
 
 # The three-byte order escape tops out at 2^18 - 1 vertices.
 GRAPH6_MAX_ORDER = 258047
 
-# Adds 63 to every 6-bit group, moving it into the printable range; _RAW undoes it.
+# Adds 63 to every 6-bit group, moving it into the printable range.
 _PRINTABLE = bytes((b + 63) % 256 for b in range(256))
-_RAW = bytes((b - 63) % 256 for b in range(256))
+_FROM_BASE64 = bytes.maketrans(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(64)))
 
 
 def _check_order(order: int) -> None:
@@ -35,39 +37,39 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order must be in 1..{GRAPH6_MAX_ORDER}, got {order}")
 
 
-def _frame(tag: bytes, order: int, groups: int) -> int:
-    """The untranslated line of ``tag``, the order, ``groups`` empty groups and the newline."""
+def _frame(tag: int, order: int, groups: int) -> int:
+    """The raw line, bytes less 63 mod 256, of the raw ``tag`` (0: none), order, ``groups`` '?'s and newline."""
     _check_order(order)
-    if order > 62:  # the three-byte order escape
-        tag += bytes([126, 63 + (order >> 12 & 63), 63 + (order >> 6 & 63)])
-    return int.from_bytes((tag + bytes([63 + (order & 63)]) + b"?" * groups + b"\n").translate(_RAW), "big")
+    if order > 62:  # '~' (raw 63) and the order's two high 6-bit groups, then its low one
+        tag = (tag << 8 | 63) << 16 | (order >> 12 & 63) << 8 | order >> 6 & 63
+    return (tag << 8 | order & 63) << 8 * groups + 8 | 203  # a raw '?' is 0 and a raw newline 203
 
 
 def _to_line(segment: int) -> bytes:
-    # The first byte, ':' or the order's, is never 0 before translation.
-    return segment.to_bytes((segment.bit_length() + 7) // 8, "big").translate(_PRINTABLE)
+    return segment.to_bytes((segment.bit_length() + 7) // 8, "big").translate(_PRINTABLE)  # no leading raw 0
 
 
 def _graph6_segment(entries: tuple[int, ...], first: int, n: int) -> int:
     groups = (n * (n - 1) // 2 + 5) // 6
+    line = _frame(0, n, groups) if first == 0 else 0  # no tag; a bad order raises before the allocation
     bits = bytearray(groups)
     for x in range(max(first, 1), first + len(entries)):
         pos = x * (x - 1) // 2 + entries[x - first]
         bits[pos // 6] |= 32 >> pos % 6
-    return (_frame(b"", n, groups) if first == 0 else 0) | int.from_bytes(bits, "big") << 8
+    return line | int.from_bytes(bits, "big") << 8
 
 
 def _sparse6_segment(entries: tuple[int, ...], first: int, n: int) -> int:
     field = max(1, (n - 1).bit_length()) + 1  # the 1-bit and the k-bit parent
     groups = ((n - 1) * field + 5) // 6
-    segment = _frame(b":", n, groups) if first == 0 else 0
-    stream = (1 << 6 * groups - (n - 1) * field) - 1 if first == 0 else 0  # the padding
-    run = 0
-    for parent in entries[1:] if first == 0 else entries:
-        run = run << field | 1 << field - 1 | parent
-    stream |= run << 6 * groups - (first + len(entries) - 1) * field  # vertex x's field ends at bit x * field
-    spread = bytes(stream >> 6 * i & 63 for i in reversed(range((stream.bit_length() + 5) // 6)))
-    return segment | int.from_bytes(spread, "big") << 8  # one byte per 6-bit group
+    line = _frame(251, n, groups) if first == 0 else 0  # a raw ':'
+    fields = [1 << field - 1 | p for p in (entries[1:] if first == 0 else entries)]
+    run = int(("{:b}" * len(fields)).format(*fields) or "0", 2)  # every field starts with its 1-bit
+    pad = 6 * groups - (n - 1) * field if first == 0 else 0  # the 1-bits after vertex n - 1
+    stream = run << 6 * groups - (first + len(entries) - 1) * field | (1 << pad) - 1  # x's field ends at bit x * field
+    # Base64 spreads 3 bytes into 4 groups, one byte each; leading zero groups vanish in the int.
+    spread = b2a_base64(stream.to_bytes((groups + 3) // 4 * 3, "big"), newline=False).translate(_FROM_BASE64)
+    return line | int.from_bytes(spread, "big") << 8
 
 
 def _parent_list_segment(entries: tuple[int, ...], first: int, n: int) -> bytes:

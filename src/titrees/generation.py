@@ -169,7 +169,7 @@ class OrderPool(NamedTuple):
     tails: list[Any] | None
 
 
-def _order_pool(table: KeyTable, joined_order: int, segment: Callable | None = None) -> OrderPool:
+def _order_pool(table: KeyTable, joined_order: int, segment: Callable | None) -> OrderPool:
     """Re-index a key table for one joined order k > 2c: one OR per key."""
     offsets = [a + m * joined_order for a, m in table.keys]
     columns = [0] * (joined_order * joined_order)
@@ -422,8 +422,7 @@ def generate_ti_trees(
     shipped = next((pair for key, pair in _SEGMENTS.items() if key is encoder), None)
     emit = None if func is None else (func, *(shipped or (_entries, encoder or tuple)))
     if emit is not None:
-        _, segment, finish = emit
-        func(finish(segment((0,), 0, 1)))
+        func(emit[2](emit[1]((0,), 0, 1)))  # finish(segment(...)) of the single vertex
     subtrees = _build_subtree_pools(n, m_eff)
     # Keyed here, before any worker starts, so no worker keys a pool again.
     tables = {s: _key_table(s, subtrees[s]) for s in range(1, len(subtrees))}

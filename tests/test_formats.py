@@ -11,6 +11,8 @@ split and over the generator's whole stream.
 from __future__ import annotations
 
 import random
+import time
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -116,6 +118,20 @@ class TestGraph6:
             with pytest.raises(ValueError):
                 encode((0,) * (GRAPH6_MAX_ORDER + 1))
 
+    def test_order_out_of_range_raises_before_allocating(self):
+        # The graph6 line of the first order past the escape would take
+        # about 5.5 GB, so the check must come before any buffer.
+        parents = (0,) * (GRAPH6_MAX_ORDER + 1)
+        for encode in (graph6_line, sparse6_line):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError):
+                    encode(parents)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (encode.__name__, peak)
+
 
 class TestSparse6:
     def test_single_vertex(self):
@@ -156,6 +172,20 @@ class TestSparse6:
             via_g6 = decode_graph6(graph6_line(parents))
             via_s6 = decode_sparse6(sparse6_line(parents))
             assert via_g6 == via_s6 == (len(parents), to_edge_list(parents))
+
+    def test_linear_time_at_a_large_order(self):
+        # 2^16 + 1 vertices widen the field to 17 bits.  A stream built by
+        # shifting a growing int once per field, or spread by one shift of
+        # the whole stream per group, takes seconds here; the loop encoder
+        # is linear, and the segment encoder must be as well.
+        rng = random.Random(16)
+        parents = (0, *(rng.randrange(x) for x in range(1, 2**16 + 1)))
+        start = time.process_time()
+        expected = reference_formats.sparse6_line(parents)
+        reference = time.process_time() - start
+        start = time.process_time()
+        assert sparse6_line(parents) == expected
+        assert time.process_time() - start < 10 * reference + 0.1
 
     def test_rejects_missing_prefix(self):
         with pytest.raises(ValueError):

@@ -284,7 +284,7 @@ class TestKeyTablesAgainstSlicing:
             table = _key_table(s, subtrees[s])
             for k in range(2 * s + 1, n + 1):
                 ref = _sliced_pool(subtrees[s], k)
-                new = _order_pool(table, k)
+                new = _order_pool(table, k, None)
                 assert all(b > 0 for b in new.offsets), (s, k)
                 valid = list(_set_bits(new.full))
                 assert [subtrees[s][j] for j in valid] == ref.trees, (s, k)
