@@ -20,7 +20,8 @@ vertices, so every offset is positive.  Each pool tree gets a bitmask
 of offsets and a candidate is TI, with the root as its unique minimum,
 exactly when the chosen masks are pairwise disjoint.  That is the one
 proof of TI: emission joins and encodes the chosen prefix once per
-visit of the last coordinate, and a tree is one add and one finish.
+visit of the last coordinate, a tree is one add (and one finish when
+encoded), and each visit is one unit of emission (see ``_sink``).
 
 The disjointness test is bit-sliced, as in the vertical bitsets of
 bit-parallel clique search (San Segundo, Rodriguez-Losada and Jimenez,
@@ -64,18 +65,12 @@ from .wti import WTITree, join_wti_trees
 
 __all__ = ["generate_ti_trees"]
 
-TreeCallback = Callable[[Any], None]
-# An emitting run's (func, segment, finish): func(finish(sum of segments)).
-Emit = tuple[TreeCallback, Callable[[tuple[int, ...], int, int], Any], Callable[[Any], Any]]
+# An emitting run's (segment, sink): each visit hands its trees, as sums of segments, to sink.
+Emit = tuple[Callable[[tuple[int, ...], int, int], Any], Callable[[Iterator[Any]], None]]
 
 # One parallel phase-2 task: a joined order and a contiguous chunk of its
 # root-subtree order sequences (see ``_tasks``).
 Task = tuple[int, list[IncreasingSequence]]
-
-
-# ----------------------------------------------------------------------
-# Phase-2 tables
-# ----------------------------------------------------------------------
 
 
 class KeyTable(NamedTuple):
@@ -158,8 +153,8 @@ class OrderPool(NamedTuple):
     module docstring), so no vertex ties or undercuts the root.
     ``tails[j]`` is the segment of tree j's parent tuple relabelled as the
     last root subtree at order k, which starts at vertex k - c and hangs
-    off the root; an emitted tree is the finished sum of a joined prefix's
-    segment and a tail.  ``tails`` is None without a ``segment``.
+    off the root; an emitted tree is the sum of a joined prefix's segment
+    and a tail.  ``tails`` is None without a ``segment``.
     """
 
     table: KeyTable
@@ -220,6 +215,23 @@ def _set_bits(x: int) -> Iterator[int]:
         x ^= low
 
 
+def _sink(target: Callable[[Any], None], finish: Callable[[Any], bytes] | None) -> Callable[[Iterator[Any]], None]:
+    """The emission of one visit's trees, given as sums of segments: with
+    ``finish``, one call of ``target`` with their lines joined unless that
+    is empty; without, the sums are parent tuples, one call for each."""
+
+    def tuples(trees: Iterator[Any]) -> None:
+        for parents in trees:
+            target(parents)
+
+    def lines(trees: Iterator[Any]) -> None:
+        block = b"".join(map(finish, trees))
+        if block:
+            target(block)
+
+    return tuples if finish is None else lines
+
+
 def _scan_sequence(k: int, pools: Sequence[OrderPool], clash: Sequence[Sequence[_ClashRows]], emit: Emit | None) -> int:
     """Count (and optionally emit) the TI joins of order k over one sequence.
 
@@ -237,8 +249,8 @@ def _scan_sequence(k: int, pools: Sequence[OrderPool], clash: Sequence[Sequence[
     A reachable tuple is TI by that alone.  Emission joins the chosen
     prefix once per visit of the last coordinate with an allowed tree
     (its masks are disjoint, so the join is WTI) and, ``emit`` being
-    (func, segment, finish), encodes it once as ``segment(parents, 0, k)``;
-    ``func`` gets ``finish(head + tail)`` for the tail of each allowed tree
+    (segment, sink), encodes it once as ``segment(parents, 0, k)``; one
+    ``sink`` call gets ``head + tail`` for the tail of each allowed tree
     (see ``OrderPool``).  A join returning None means wrong masks: RuntimeError.
     """
     count = 0
@@ -255,11 +267,10 @@ def _scan_sequence(k: int, pools: Sequence[OrderPool], clash: Sequence[Sequence[
             joined = join_wti_trees(chosen)
             if joined is None:
                 raise RuntimeError(f"offset masks admitted a non-TI join of order {k}")
-            func, segment, finish = emit
+            segment, sink = emit
             head, tails = segment(joined.parents, 0, k), pool.tails
             count += allowed.bit_count()
-            for j in _set_bits(allowed):
-                func(finish(head + tails[j]))
+            sink(head + tails[j] for j in _set_bits(allowed))
         elif i == last - 1 and emit is None:
             # A count needs only a popcount of the last coordinate, so
             # it ends the walk here (sequences have at least 3 parts).
@@ -289,11 +300,6 @@ def _phase2_sequences(k: int, max_children: int) -> list[IncreasingSequence]:
     return list(generate_increasing(k - 1, (k - 1) // 2, max_children))
 
 
-# ----------------------------------------------------------------------
-# The driver
-# ----------------------------------------------------------------------
-
-
 def _entries(entries: tuple[int, ...], first: int, n: int) -> tuple[int, ...]:
     return entries
 
@@ -309,9 +315,7 @@ def _build_subtree_pools(n: int, m_eff: int) -> WTIPool:
     return generate_wti_trees(max(1, (n - 1) // 2), max(1, m_eff - 1))
 
 
-def _scan_order(
-    tables: dict[int, KeyTable], k: int, sequences: Sequence[IncreasingSequence], emit: Emit | None
-) -> int:
+def _scan_order(tables: dict[int, KeyTable], k: int, sequences: Sequence[IncreasingSequence], emit: Emit | None) -> int:
     """Count (and optionally emit) the TI joins of order k over ``sequences``.
 
     The sequences are scanned in the given order and share the order-k
@@ -322,7 +326,7 @@ def _scan_order(
     it otherwise.  The rows are a pure cache: any list of sequences of
     order k, in any order, gives the sum of their counts.
     """
-    pools = {s: _order_pool(tables[s], k, emit and emit[1]) for s in {s for seq in sequences for s in seq}}
+    pools = {s: _order_pool(tables[s], k, emit and emit[0]) for s in {s for seq in sequences for s in seq}}
     last_use = {pair: i for i, seq in enumerate(sequences) for pair in combinations(seq, 2)}
     pairs: dict[tuple[int, int], _ClashRows] = {}
     count = 0
@@ -383,9 +387,10 @@ def generate_ti_trees(
     passed to ``func`` when given as its parent tuple: the root is vertex
     0, ``parents[0] == 0`` and ``parents[x] < x``, so the order is
     ``len(parents)`` and the single vertex is ``(0,)``.  With an encoder,
-    ``func`` receives bytes instead: the calls concatenate to
-    ``encoder(parents)`` of every tree in emission order, one call per
-    tree in a serial run and at most one per task in a parallel one.
+    ``func`` receives bytes instead, and the calls are the same for any
+    worker count: none is empty, and each carries the whole encodings
+    ``encoder(parents)`` of one or more consecutive trees, so the calls
+    concatenate to the encodings of every tree in emission order.
     The shipped encoders themselves, not wrappers of them, are applied by
     segments that are each encoded once; any other runs once per tree.
     The returned census is a dict that maps every order 1..n, in
@@ -399,13 +404,11 @@ def generate_ti_trees(
     sequences, no heavier than the heaviest single sequence (see
     ``_tasks``), and the tasks run on a pool of at most ``workers``
     processes and no more than one per task (CPython threads would
-    serialize on the interpreter lock).  The workers encode their trees
-    and send each task's encodings back end to end as one block, which
-    is passed to ``func`` as it is.  At most two tasks per worker are
-    submitted and not yet passed on, so a slow reader holds back the
-    workers rather than filling memory.  The blocks are passed on in
-    task order, so the output is the same for any worker count; emitting
-    from workers therefore needs an encoder.
+    serialize on the interpreter lock).  The workers encode their trees,
+    so emitting from them needs an encoder, and each task's blocks reach
+    ``func`` in task order.  At most two tasks per worker are submitted
+    and not yet passed on: a slow reader holds back the workers rather
+    than filling memory.
     """
     if n < 1:
         raise ValueError(f"order bound must be >= 1, got {n}")
@@ -418,11 +421,11 @@ def generate_ti_trees(
     m_eff = n - 1 if m is None else m
     census = dict.fromkeys(range(1, n + 1), 0)
     census[1] = 1
-    # A shipped encoder, the very function, encodes by segment; any other (tuple if none) per tree.
-    shipped = next((pair for key, pair in _SEGMENTS.items() if key is encoder), None)
-    emit = None if func is None else (func, *(shipped or (_entries, encoder or tuple)))
+    # A shipped encoder, the very function, encodes by segment; any other per tree, and none leaves tuples.
+    segment, finish = next((pair for key, pair in _SEGMENTS.items() if key is encoder), (_entries, encoder))
+    emit = None if func is None else (segment, _sink(func, finish))
     if emit is not None:
-        func(emit[2](emit[1]((0,), 0, 1)))  # finish(segment(...)) of the single vertex
+        emit[1]([segment((0,), 0, 1)])  # the single vertex
     subtrees = _build_subtree_pools(n, m_eff)
     # Keyed here, before any worker starts, so no worker keys a pool again.
     tables = {s: _key_table(s, subtrees[s]) for s in range(1, len(subtrees))}
@@ -451,19 +454,16 @@ def generate_ti_trees(
     except ValueError:  # platform without fork
         ctx = multiprocessing.get_context()
     executor = ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=ctx,
-        initializer=_worker_init,
-        initargs=(tables, emit and emit[1:]),
+        max_workers=workers, mp_context=ctx, initializer=_worker_init, initargs=(tables, emit and (segment, finish))
     )
     try:
         submitted = (executor.submit(_worker_task, task) for task in tasks)
         window = deque(islice(submitted, 2 * workers))
         for k, _ in tasks:
-            count, block = window.popleft().result()
+            count, blocks = window.popleft().result()
             window.extend(islice(submitted, 1))
             census[k] += count
-            if block:
+            for block in blocks:
                 func(block)
     finally:
         # On an interrupt or a closed pipe, drop the tasks not yet started
@@ -484,12 +484,9 @@ def _worker_init(tables: dict[int, KeyTable], codec: tuple | None) -> None:
     _worker_tables, _worker_codec = tables, codec
 
 
-def _worker_task(task: Task) -> tuple[int, bytes]:
-    """Scan one task: its count and its trees' encodings end to end."""
+def _worker_task(task: Task) -> tuple[int, list[bytes]]:
+    """Scan one task: its count and the blocks a serial run passes to ``func`` for it."""
     k, sequences = task
-    block = bytearray()
-    emit = None if _worker_codec is None else (block.extend, *_worker_codec)
-    count = _scan_order(_worker_tables, k, sequences, emit)
-    # Sent as bytes: pickle protocol 4 sends a bytearray through a bytes
-    # copy, one more copy of the block in each process.
-    return count, bytes(block)
+    blocks: list[bytes] = []
+    emit = None if _worker_codec is None else (_worker_codec[0], _sink(blocks.append, _worker_codec[1]))
+    return _scan_order(_worker_tables, k, sequences, emit), blocks

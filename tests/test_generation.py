@@ -36,6 +36,7 @@ from titrees.generation import (
     _phase2_sequences,
     _scan_order,
     _set_bits,
+    _sink,
 )
 from titrees.wti import SINGLE_VERTEX, join_wti_trees
 
@@ -177,7 +178,7 @@ def collect(scan, emit: bool):
 
 def as_tuples(func):
     """The ``emit`` argument of ``_scan_order`` that passes ``func`` parent tuples."""
-    return None if func is None else (func, _entries, tuple)
+    return None if func is None else (_entries, _sink(func, None))
 
 
 def scan_against_reference(n: int, m: int | None, emit: bool, rng: random.Random | None = None):
@@ -584,12 +585,35 @@ class TestParallel:
         assert b"".join(spawned) == b"".join(serial)
 
     def test_encoded_lines_with_one_worker_match_serial(self):
-        # One worker runs in this process and passes on one call per tree.
+        # One worker runs in this process and passes on one call per
+        # visit of a last coordinate, each holding whole lines.
         serial: list[bytes] = []
-        generate_ti_trees(14, None, lambda t: serial.append(parent_list_line(t)))
+        census = generate_ti_trees(14, None, lambda t: serial.append(parent_list_line(t)))
         encoded: list[bytes] = []
         generate_ti_trees(14, None, encoded.append, workers=1, encoder=parent_list_line)
-        assert encoded == serial
+        assert b"".join(encoded) == b"".join(serial)
+        assert encoded[0] == parent_list_line((0,))
+        assert all(type(block) is bytes and block.endswith(b"\n") for block in encoded)
+        assert 1 < len(encoded) < sum(census.values())
+
+    @pytest.mark.parametrize("encoder", [graph6_line, sparse6_line, parent_list_line, awkward_line])
+    @pytest.mark.parametrize("m", [None, 3])
+    def test_same_calls_at_every_worker_count(self, encoder, m):
+        # One call per visit of a last coordinate, whichever process
+        # scanned it: the single vertex is a call of its own, no call is
+        # empty, and each holds the whole lines of one or more trees.
+        calls = {}
+        for workers in (1, 2, 3):
+            calls[workers] = []
+            census = generate_ti_trees(18, m, calls[workers].append, workers=workers, encoder=encoder)
+        blocks = calls[1]
+        assert calls[2] == blocks and calls[3] == blocks
+        assert all(type(block) is bytes and block for block in blocks)
+        assert b"".join(blocks) == b"".join(map(encoder, ti_trees_up_to(18, m)))
+        assert 1 < len(blocks) < sum(census.values())
+        if encoder is not awkward_line:
+            assert blocks[0] == encoder((0,))
+            assert all(block.endswith(b"\n") for block in blocks)
 
     def test_degree_bound_in_parallel(self):
         assert generate_ti_trees(15, 3, workers=2) == generate_ti_trees(15, 3)
@@ -635,18 +659,19 @@ class TestParallel:
         assert len(pool.tasks) > pool.limit == 4
         assert pool.peak == pool.limit
 
-    def test_each_task_reaches_func_in_at_most_one_call(self, recording_pools):
-        # The single vertex is one call of its own; each task's encodings
-        # come back as one block, passed on whole and only when non-empty.
+    def test_each_visit_reaches_func_in_one_call(self, recording_pools):
+        # A task's blocks come back as a list, one per visit, and are
+        # passed on in task order: the calls are those of a serial run,
+        # and there are more of them than tasks.
         serial: list[bytes] = []
-        census = generate_ti_trees(18, None, lambda t: serial.append(graph6_line(t)))
+        census = generate_ti_trees(18, None, serial.append, encoder=graph6_line)
         blocks: list[bytes] = []
         generate_ti_trees(18, None, blocks.append, workers=2, encoder=graph6_line)
         [pool] = recording_pools
+        assert blocks == serial
         assert blocks[0] == graph6_line((0,))
-        assert len(blocks) <= len(pool.tasks) + 1 < sum(census.values())
         assert all(blocks)
-        assert b"".join(blocks) == b"".join(serial)
+        assert len(pool.tasks) + 1 < len(blocks) < sum(census.values())
 
     @pytest.mark.parametrize("m", [None, 3])
     def test_tasks_concatenate_to_the_run_sequences(self, recording_pools, m):
@@ -689,9 +714,9 @@ class TestParallel:
         assert len(lines) == sum(census.values())
 
 
-def ti_trees_up_to(n: int) -> list[tuple[int, ...]]:
+def ti_trees_up_to(n: int, m: int | None = None) -> list[tuple[int, ...]]:
     trees: list = []
-    generate_ti_trees(n, None, trees.append)
+    generate_ti_trees(n, m, trees.append)
     return trees
 
 
@@ -703,7 +728,8 @@ class TestCodecs:
     def test_a_wrapped_shipped_encoder_is_called_once_per_tree(self):
         # Shipped encoders are recognised by identity, not by name or
         # attributes: a functools.wraps wrapper, such as a tracer's, takes
-        # the per-tree path and must see every tree.
+        # the per-tree path and must see every tree, while ``func`` gets
+        # the same calls as with the shipped encoder.
         calls: list = []
 
         @functools.wraps(graph6_line)
@@ -716,8 +742,9 @@ class TestCodecs:
         census = generate_ti_trees(18, None, lines.append, encoder=wrapped)
         shipped: list[bytes] = []
         generate_ti_trees(18, None, shipped.append, encoder=graph6_line)
-        assert len(calls) == len(lines) == sum(census.values())
+        assert len(calls) == sum(census.values()) > len(lines)
         assert all(type(parents) is tuple for parents in calls)
+        assert calls == ti_trees_up_to(18)
         assert lines == shipped
 
     def test_a_shipped_encoder_encodes_each_prefix_and_tail_once(self, monkeypatch):
@@ -735,7 +762,7 @@ class TestCodecs:
         lines: list[bytes] = []
         census = generate_ti_trees(22, None, lines.append, encoder=graph6_line)
         trees = sum(census.values())
-        assert lines == [graph6_line(parents) for parents in ti_trees_up_to(22)]
+        assert b"".join(lines) == b"".join(map(graph6_line, ti_trees_up_to(22)))
         assert 0 < segments[True] < trees / 4 and 0 < segments[False] < trees / 4
 
     @pytest.mark.parametrize("encoder", [graph6_line, sparse6_line, parent_list_line, shape_line])
@@ -759,19 +786,21 @@ class TestCodecs:
             assert finish(segment(parents, 0, len(parents))) == encoder(parents)
 
     def test_the_tuple_codec_pickles(self, monkeypatch):
-        # A run without an encoder passes parent tuples through the same
-        # (segment, finish) pair, built from picklable parts.
+        # A run without an encoder has a segment and no finish: its
+        # segments are tuples, picklable like a shipped codec's, and the
+        # sum of a tree's segments is its parent tuple.
         seen: list = []
         real = generation._scan_order
 
         def recording(tables, k, sequences, emit):
-            seen.append(emit[1:])
+            seen.append(emit[0])
             return real(tables, k, sequences, emit)
 
         monkeypatch.setattr(generation, "_scan_order", recording)
         trees: list = []
         generate_ti_trees(11, None, trees.append)
-        codec = seen[0]
-        segment, finish = pickle.loads(pickle.dumps(codec))
-        assert (segment, finish) == codec and all(emit == codec for emit in seen)
-        assert all(finish(segment(parents, 0, len(parents))) == parents for parents in trees)
+        segment = pickle.loads(pickle.dumps(seen[0]))
+        assert segment == _entries and all(emit is _entries for emit in seen)
+        for parents in trees:
+            assert type(parents) is tuple
+            assert segment(parents[:2], 0, len(parents)) + segment(parents[2:], 2, len(parents)) == parents
