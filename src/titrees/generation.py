@@ -42,10 +42,11 @@ pools and clash rows live only as long as the call.  A serial run makes
 one call per order.  A parallel run cuts each order's list into maximal
 contiguous chunks, none heavier than the heaviest single sequence, a
 sequence weighing the number of candidates it scans.  No task can be
-lighter than that sequence, so the bound comes from the input.  List
-scheduling ends a run within the longest task of an even share of the
-work (Graham, SIAM J. Appl. Math. 17, 1969), and the cut keeps the
-longest task no longer than it has to be.
+lighter than that sequence, and list scheduling ends a run within the
+longest task of an even share of the work (Graham, SIAM J. Appl. Math.
+17, 1969), so the cut keeps the longest task no longer than it has to
+be.  It bounds a task's scan, not its result: a chunk's encodings grow
+with the order.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ from .wti import WTITree, join_wti_trees
 
 __all__ = ["generate_ti_trees"]
 
-# An emitting run's (segment, sink): each visit hands its trees, as sums of segments, to sink.
-Emit = tuple[Callable[[tuple[int, ...], int, int], Any], Callable[[Iterator[Any]], None]]
+# An emitting run's (segment, sink, trees), ``trees[c]`` being the components of order c (see ``_scan_sequence``).
+Emit = tuple[Callable[[tuple[int, ...], int, int], Any], Callable[[Iterator[Any]], None], WTIPool]
 
 # One parallel phase-2 task: a joined order and a contiguous chunk of its
 # root-subtree order sequences (see ``_tasks``).
@@ -86,16 +87,14 @@ class KeyTable(NamedTuple):
     with a = -2c - q and m = l + 1, independently of the sibling
     subtrees.  Neither a nor m depends on k, so the pool is keyed once
     per run: ``keys`` lists the distinct (a, m) pairs of the pool,
-    ``members[i]`` has bit j set iff ``trees[j]`` has a vertex with key
-    ``keys[i]``, and ``tree_keys[c * j : c * j + c]`` holds the key
-    indices of ``trees[j]``, c being ``order``, the order of every tree
-    of the pool.  The vertices of one tree have distinct keys: on one
-    level the values q differ, and levels differ in m.  ``trees`` is None
-    in a run that only counts, which never reads a tree.
+    ``members[i]`` has bit j set iff tree j of the pool has a vertex
+    with key ``keys[i]``, and ``tree_keys[c * j : c * j + c]`` holds the
+    key indices of tree j, c being ``order``, the order of every tree of
+    the pool.  The vertices of one tree have distinct keys: on one level
+    the values q differ, and levels differ in m.
     """
 
     order: int
-    trees: list[WTITree] | None
     keys: list[tuple[int, int]]
     members: list[int]
     tree_keys: array
@@ -137,7 +136,7 @@ def _key_table(c: int, trees: list[WTITree]) -> KeyTable:
                 tree_keys.append(i)
                 bits ^= low
     members = [int.from_bytes(buffer, "little") for buffer in buffers]
-    return KeyTable(c, trees, keys, members, tree_keys)
+    return KeyTable(c, keys, members, tree_keys)
 
 
 class OrderPool(NamedTuple):
@@ -154,7 +153,7 @@ class OrderPool(NamedTuple):
     ``tails[j]`` is the segment of tree j's parent tuple relabelled as the
     last root subtree at order k, which starts at vertex k - c and hangs
     off the root; an emitted tree is the sum of a joined prefix's segment
-    and a tail.  ``tails`` is None without a ``segment``.
+    and a tail.  ``tails`` is None in a run that only counts.
     """
 
     table: KeyTable
@@ -164,17 +163,17 @@ class OrderPool(NamedTuple):
     tails: list[Any] | None
 
 
-def _order_pool(table: KeyTable, joined_order: int, segment: Callable | None) -> OrderPool:
+def _order_pool(table: KeyTable, k: int, emit: Emit | None) -> OrderPool:
     """Re-index a key table for one joined order k > 2c: one OR per key."""
-    offsets = [a + m * joined_order for a, m in table.keys]
-    columns = [0] * (joined_order * joined_order)
+    offsets = [a + m * k for a, m in table.keys]
+    columns = [0] * (k * k)
     invalid = 0
     for b, members in zip(offsets, table.members):
         # A tree already in the column has another vertex at offset b.
         invalid |= columns[b] & members
         columns[b] |= members
-    shift = joined_order - table.order
-    tails = segment and [segment((0, *map(shift.__add__, t.parents[1:])), shift, joined_order) for t in table.trees]
+    shift = k - table.order
+    tails = emit and [emit[0]((0, *map(shift.__add__, t.parents[1:])), shift, k) for t in emit[2][table.order]]
     return OrderPool(table, offsets, columns, ((1 << table.size) - 1) & ~invalid, tails)
 
 
@@ -242,50 +241,50 @@ def _scan_sequence(k: int, pools: Sequence[OrderPool], clash: Sequence[Sequence[
     forbidden bitset per coordinate not yet chosen: choosing tree j ORs
     its clash row against each later part into that part's forbidden
     set, so a tree is reachable exactly when its offsets are disjoint
-    from those of the trees chosen before it.  The last coordinate of a
-    counting run costs one ``bit_count()``; emission walks the allowed
-    indices in increasing order, so trees arrive in pool order.
+    from those of the trees chosen before it.
 
-    A reachable tuple is TI by that alone.  Emission joins the chosen
-    prefix once per visit of the last coordinate with an allowed tree
-    (its masks are disjoint, so the join is WTI) and, ``emit`` being
-    (segment, sink), encodes it once as ``segment(parents, 0, k)``; one
-    ``sink`` call gets ``head + tail`` for the tail of each allowed tree
-    (see ``OrderPool``).  A join returning None means wrong masks: RuntimeError.
+    Every run stops at the penultimate part, and only this leaf counts or
+    emits; the nodes above it record the index they chose.  A count adds,
+    per penultimate tree, the ``bit_count()`` of the last trees it leaves
+    allowed.  A reachable tuple is TI by that alone, so with ``emit`` =
+    (segment, sink, trees) each visit, a choice for every part but the
+    last that leaves some last tree allowed, joins the chosen trees once
+    (their masks are disjoint, so the join is WTI), encodes the join once
+    as ``segment(parents, 0, k)`` and makes one ``sink`` call with ``head
+    + tail`` for the tail of each allowed tree, in pool order (see
+    ``OrderPool``).  A join returning None means wrong masks: RuntimeError.
     """
     count = 0
     last = len(pools) - 1
-    chosen: list[WTITree | None] = [None] * last
+    chosen = [0] * last
 
     def walk(i: int, forbidden: list[int]) -> None:
         nonlocal count
-        pool = pools[i]
-        allowed = pool.full & ~forbidden[0]
-        if i == last:
-            if not allowed:
-                return
-            joined = join_wti_trees(chosen)
-            if joined is None:
-                raise RuntimeError(f"offset masks admitted a non-TI join of order {k}")
-            segment, sink = emit
-            head, tails = segment(joined.parents, 0, k), pool.tails
-            count += allowed.bit_count()
-            sink(head + tails[j] for j in _set_bits(allowed))
-        elif i == last - 1 and emit is None:
-            # A count needs only a popcount of the last coordinate, so
-            # it ends the walk here (sequences have at least 3 parts).
-            rows = clash[i][0]
-            tail = pools[last].full & ~forbidden[1]
+        allowed = pools[i].full & ~forbidden[0]
+        if i < last - 1:
+            later = list(zip(clash[i], forbidden[1:]))
+            for j in _set_bits(allowed):
+                chosen[i] = j
+                walk(i + 1, [rows[j] | hit for rows, hit in later])
+            return
+        rows, tail = clash[i][0], pools[last].full & ~forbidden[1]
+        if emit is None:
             size = tail.bit_count()
             for j in _set_bits(allowed):
                 count += size - (tail & rows[j]).bit_count()
-        else:
-            trees = pool.table.trees
-            later = list(zip(clash[i], forbidden[1:]))
-            for j in _set_bits(allowed):
-                if emit is not None:
-                    chosen[i] = trees[j]
-                walk(i + 1, [rows[j] | hit for rows, hit in later])
+            return
+        segment, sink, trees = emit
+        tails = pools[last].tails
+        for j in _set_bits(allowed):
+            reachable = tail & ~rows[j]
+            if reachable:
+                chosen[i] = j
+                joined = join_wti_trees([trees[pool.table.order][x] for pool, x in zip(pools, chosen)])
+                if joined is None:
+                    raise RuntimeError(f"offset masks admitted a non-TI join of order {k}")
+                head = segment(joined.parents, 0, k)
+                count += reachable.bit_count()
+                sink(head + tails[x] for x in _set_bits(reachable))
 
     walk(0, [0] * len(pools))
     return count
@@ -326,7 +325,7 @@ def _scan_order(tables: dict[int, KeyTable], k: int, sequences: Sequence[Increas
     it otherwise.  The rows are a pure cache: any list of sequences of
     order k, in any order, gives the sum of their counts.
     """
-    pools = {s: _order_pool(tables[s], k, emit and emit[0]) for s in {s for seq in sequences for s in seq}}
+    pools = {s: _order_pool(tables[s], k, emit) for s in {s for seq in sequences for s in seq}}
     last_use = {pair: i for i, seq in enumerate(sequences) for pair in combinations(seq, 2)}
     pairs: dict[tuple[int, int], _ClashRows] = {}
     count = 0
@@ -357,7 +356,8 @@ def _tasks(tables: dict[int, KeyTable], orders: list[tuple[int, list[IncreasingS
     of candidates its scan ranges over.  Each order's list is cut into
     maximal contiguous chunks, none heavier than the heaviest single
     sequence of the run: a chunk ends only where its next sequence would
-    push it over that weight.
+    push it over that weight.  That weight, and with it the output of
+    the heaviest task, grows with the largest order.
     """
     weights = {k: [prod(tables[s].size for s in seq) for seq in sequences] for k, sequences in orders}
     heaviest = max((w for ws in weights.values() for w in ws), default=0)
@@ -407,8 +407,9 @@ def generate_ti_trees(
     serialize on the interpreter lock).  The workers encode their trees,
     so emitting from them needs an encoder, and each task's blocks reach
     ``func`` in task order.  At most two tasks per worker are submitted
-    and not yet passed on: a slow reader holds back the workers rather
-    than filling memory.
+    and not yet passed on, so a slow reader holds back the workers, but
+    the parent may hold that many task results, each one chunk's
+    encodings, which grow with n.
     """
     if n < 1:
         raise ValueError(f"order bound must be >= 1, got {n}")
@@ -423,17 +424,14 @@ def generate_ti_trees(
     census[1] = 1
     # A shipped encoder, the very function, encodes by segment; any other per tree, and none leaves tuples.
     segment, finish = next((pair for key, pair in _SEGMENTS.items() if key is encoder), (_entries, encoder))
-    emit = None if func is None else (segment, _sink(func, finish))
-    if emit is not None:
-        emit[1]([segment((0,), 0, 1)])  # the single vertex
+    sink = None if func is None else _sink(func, finish)
+    if sink is not None:
+        sink([segment((0,), 0, 1)])  # the single vertex
     subtrees = _build_subtree_pools(n, m_eff)
     # Keyed here, before any worker starts, so no worker keys a pool again.
     tables = {s: _key_table(s, subtrees[s]) for s in range(1, len(subtrees))}
-    if emit is None:
-        # A count reads only the keys: dropping the trees frees their
-        # memory for the clash rows.
-        tables = {s: table._replace(trees=None) for s, table in tables.items()}
-    del subtrees
+    emit = None if sink is None else (segment, sink, subtrees)
+    del subtrees  # only emission reads the trees: a count frees them for the clash rows
     orders = [(k, _phase2_sequences(k, m_eff)) for k in range(3, n + 1)]
     tasks = _tasks(tables, orders)
     # A fork-based pool starts all its workers at the first task, so
@@ -453,8 +451,9 @@ def generate_ti_trees(
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # platform without fork
         ctx = multiprocessing.get_context()
+    codec = emit and (segment, finish, emit[2])
     executor = ProcessPoolExecutor(
-        max_workers=workers, mp_context=ctx, initializer=_worker_init, initargs=(tables, emit and (segment, finish))
+        max_workers=workers, mp_context=ctx, initializer=_worker_init, initargs=(tables, codec)
     )
     try:
         submitted = (executor.submit(_worker_task, task) for task in tasks)
@@ -474,7 +473,7 @@ def generate_ti_trees(
 
 # Set in each worker process by the initializer.
 _worker_tables: dict[int, KeyTable]
-_worker_codec: tuple | None  # (segment, finish) when the run emits
+_worker_codec: tuple | None  # (segment, finish, trees) when the run emits, else None
 
 
 def _worker_init(tables: dict[int, KeyTable], codec: tuple | None) -> None:
@@ -488,5 +487,5 @@ def _worker_task(task: Task) -> tuple[int, list[bytes]]:
     """Scan one task: its count and the blocks a serial run passes to ``func`` for it."""
     k, sequences = task
     blocks: list[bytes] = []
-    emit = None if _worker_codec is None else (_worker_codec[0], _sink(blocks.append, _worker_codec[1]))
+    emit = _worker_codec and (_worker_codec[0], _sink(blocks.append, _worker_codec[1]), _worker_codec[2])
     return _scan_order(_worker_tables, k, sequences, emit), blocks

@@ -176,9 +176,10 @@ def collect(scan, emit: bool):
     return emitted
 
 
-def as_tuples(func):
-    """The ``emit`` argument of ``_scan_order`` that passes ``func`` parent tuples."""
-    return None if func is None else (_entries, _sink(func, None))
+def as_tuples(func, subtrees):
+    """The ``emit`` argument of ``_scan_order`` that passes ``func`` parent
+    tuples of joins over the component pools ``subtrees``."""
+    return None if func is None else (_entries, _sink(func, None), subtrees)
 
 
 def scan_against_reference(n: int, m: int | None, emit: bool, rng: random.Random | None = None):
@@ -207,9 +208,9 @@ def scan_against_reference(n: int, m: int | None, emit: bool, rng: random.Random
         if rng is not None:
             rng.shuffle(sequences)
         masked = {s: _masked_collection(ref_subtrees[s], k) for s in {s for seq in sequences for s in seq}}
-        alone = [collect(lambda f: _scan_order(tables, k, [seq], as_tuples(f)), emit) for seq in sequences]
+        alone = [collect(lambda f: _scan_order(tables, k, [seq], as_tuples(f, subtrees)), emit) for seq in sequences]
         ref = [collect(lambda f: _scan_products(k, [seq], masked, f), emit) for seq in sequences]
-        whole = collect(lambda f: _scan_order(tables, k, sequences, as_tuples(f)), emit)
+        whole = collect(lambda f: _scan_order(tables, k, sequences, as_tuples(f, subtrees)), emit)
         yield k, sequences, alone, whole, ref
 
 
@@ -403,16 +404,22 @@ class TestEmission:
         assert checked == {True: sum(census.values())}
 
     def test_a_prefix_is_joined_once_for_all_trees_of_its_last_coordinate(self, monkeypatch):
-        # A join per emitted tree would make 43,772 calls at order 24.
-        calls = collections.Counter()
+        # A graph6 run makes one ``func`` call per visit, and one for the
+        # single vertex, which is not joined.  One join per call pins that
+        # a prefix is joined once for all trees of its last coordinate,
+        # and not at all when no last tree is allowed.
+        joins = collections.Counter()
 
         def counted(children):
-            calls["join"] += 1
+            joins["join"] += 1
             return join_wti_trees(children)
 
         monkeypatch.setattr(generation, "join_wti_trees", counted)
-        census = generate_ti_trees(24, None, lambda parents: None)
-        assert 0 < 10 * calls["join"] < sum(census.values())
+        for m in (None, 3):
+            joins.clear()
+            calls: list[bytes] = []
+            census = generate_ti_trees(24, m, calls.append, encoder=graph6_line)
+            assert 0 < joins["join"] == len(calls) - 1 < sum(census.values()) - 1, m
 
     def test_non_ti_join_is_an_error_not_an_assert(self, monkeypatch):
         # Only the phase-2 joins: phase 1 calls its own binding.
@@ -565,8 +572,9 @@ class TestParallel:
     def test_spawn_fallback_matches_serial(self, monkeypatch):
         # Where fork is missing, get_context("fork") raises ValueError and
         # the run takes the default context, spawn on those platforms.  A
-        # spawned worker gets the key tables, their trees and the encoder
-        # pickled through the pool's initargs.
+        # spawned worker gets the key tables and the codec, which holds the
+        # encoder's segments and the component trees, pickled through the
+        # pool's initargs.
         real = multiprocessing.get_context
         asked: list[str | None] = []
 
@@ -781,9 +789,26 @@ class TestCodecs:
         [codec] = seen
         copy = pickle.loads(pickle.dumps(codec))
         assert copy == codec
-        segment, finish = copy
+        segment, finish, trees = copy
+        assert trees == _build_subtree_pools(18, 17)
         for parents in ti_trees_up_to(11):
             assert finish(segment(parents, 0, len(parents))) == encoder(parents)
+
+    def test_a_count_hands_its_workers_no_tree(self, monkeypatch):
+        # A count reads only the key tables, so neither the codec nor any
+        # other argument of the workers carries a pool tree.
+        seen: list = []
+
+        def pool(*args, initargs, **kwargs):
+            seen.append(initargs)
+            raise StopAtThePool
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        with pytest.raises(StopAtThePool):
+            generate_ti_trees(18, None, workers=2)
+        [(tables, codec)] = seen
+        assert codec is None and tables
+        assert b"WTITree" not in pickle.dumps(seen[0])
 
     def test_the_tuple_codec_pickles(self, monkeypatch):
         # A run without an encoder has a segment and no finish: its
