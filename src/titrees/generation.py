@@ -38,15 +38,15 @@ coordinate is counted with ``bit_count()`` instead of being tested tree
 by tree.
 
 A call of ``_scan_order`` scans a list of sequences of one order, and its
-pools and clash rows live only as long as the call.  A serial run makes
-one call per order.  A parallel run cuts each order's list into maximal
-contiguous chunks, none heavier than the heaviest single sequence, a
-sequence weighing the number of candidates it scans.  No task can be
-lighter than that sequence, and list scheduling ends a run within the
-longest task of an even share of the work (Graham, SIAM J. Appl. Math.
-17, 1969), so the cut keeps the longest task no longer than it has to
-be.  It bounds a task's scan, not its result: a chunk's encodings grow
-with the order.
+pools, tails and clash rows live only as long as the call.  A serial run
+makes one call per order.  A parallel run cuts each order's list into
+maximal contiguous chunks, none heavier than the heaviest single
+sequence, a sequence weighing the number of candidates it scans.  No
+task can be lighter than that sequence, and list scheduling ends a run
+within the longest task of an even share of the work (Graham, SIAM J.
+Appl. Math. 17, 1969), so the cut keeps the longest task no longer than
+it has to be.  It bounds a task's scan, not its result: a chunk's
+encodings grow with the order.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ from .wti import WTITree, join_wti_trees
 
 __all__ = ["generate_ti_trees"]
 
-# An emitting run's (segment, sink, trees), ``trees[c]`` being the components of order c (see ``_scan_sequence``).
-Emit = tuple[Callable[[tuple[int, ...], int, int], Any], Callable[[Iterator[Any]], None], WTIPool]
+# An emitting run's one (segment, finish, trees), shared by every scan; ``trees[c]`` holds the components of order c.
+Codec = tuple[Callable[[tuple[int, ...], int, int], Any], Callable[[Any], bytes] | None, WTIPool]
 
 # One parallel phase-2 task: a joined order and a contiguous chunk of its
 # root-subtree order sequences (see ``_tasks``).
@@ -150,20 +150,15 @@ class OrderPool(NamedTuple):
     k: its offsets are pairwise distinct.  The order must exceed 2c, as
     every phase-2 order does; then every offset is positive (see the
     module docstring), so no vertex ties or undercuts the root.
-    ``tails[j]`` is the segment of tree j's parent tuple relabelled as the
-    last root subtree at order k, which starts at vertex k - c and hangs
-    off the root; an emitted tree is the sum of a joined prefix's segment
-    and a tail.  ``tails`` is None in a run that only counts.
     """
 
     table: KeyTable
     offsets: list[int]
     columns: list[int]
     full: int
-    tails: list[Any] | None
 
 
-def _order_pool(table: KeyTable, k: int, emit: Emit | None) -> OrderPool:
+def _order_pool(table: KeyTable, k: int) -> OrderPool:
     """Re-index a key table for one joined order k > 2c: one OR per key."""
     offsets = [a + m * k for a, m in table.keys]
     columns = [0] * (k * k)
@@ -172,9 +167,7 @@ def _order_pool(table: KeyTable, k: int, emit: Emit | None) -> OrderPool:
         # A tree already in the column has another vertex at offset b.
         invalid |= columns[b] & members
         columns[b] |= members
-    shift = k - table.order
-    tails = emit and [emit[0]((0, *map(shift.__add__, t.parents[1:])), shift, k) for t in emit[2][table.order]]
-    return OrderPool(table, offsets, columns, ((1 << table.size) - 1) & ~invalid, tails)
+    return OrderPool(table, offsets, columns, ((1 << table.size) - 1) & ~invalid)
 
 
 class _ClashRows(dict):
@@ -184,19 +177,17 @@ class _ClashRows(dict):
     j of the earlier part: the later trees that clash with tree j.  A
     missing entry is computed on lookup, from ``key_columns``, the later
     part's column at the offset of each key of the earlier part (every
-    such offset is positive), and is stored only when ``keep`` is set, so
-    what is cached never changes a result.
+    such offset is positive), and is stored only if the sequence being
+    scanned sets ``keep``; what is cached never changes a result.
     """
 
     __slots__ = ("key_columns", "tree_keys", "c", "keep")
 
     def __init__(self, earlier: OrderPool, later: OrderPool) -> None:
         super().__init__()
-        columns = later.columns
-        self.key_columns = [columns[b] for b in earlier.offsets]
+        self.key_columns = list(map(later.columns.__getitem__, earlier.offsets))
         self.tree_keys = earlier.table.tree_keys
         self.c = earlier.table.order
-        self.keep = True
 
     def __missing__(self, j: int) -> int:
         c = self.c
@@ -231,7 +222,7 @@ def _sink(target: Callable[[Any], None], finish: Callable[[Any], bytes] | None) 
     return tuples if finish is None else lines
 
 
-def _scan_sequence(k: int, pools: Sequence[OrderPool], clash: Sequence[Sequence[_ClashRows]], emit: Emit | None) -> int:
+def _scan_sequence(k: int, pools: Sequence[OrderPool], clash: Sequence[Sequence[_ClashRows]], emit: tuple | None) -> int:
     """Count (and optionally emit) the TI joins of order k over one sequence.
 
     ``pools`` holds the order-k pool of each part of the sequence, none
@@ -247,12 +238,13 @@ def _scan_sequence(k: int, pools: Sequence[OrderPool], clash: Sequence[Sequence[
     emits; the nodes above it record the index they chose.  A count adds,
     per penultimate tree, the ``bit_count()`` of the last trees it leaves
     allowed.  A reachable tuple is TI by that alone, so with ``emit`` =
-    (segment, sink, trees) each visit, a choice for every part but the
-    last that leaves some last tree allowed, joins the chosen trees once
-    (their masks are disjoint, so the join is WTI), encodes the join once
-    as ``segment(parents, 0, k)`` and makes one ``sink`` call with ``head
-    + tail`` for the tail of each allowed tree, in pool order (see
-    ``OrderPool``).  A join returning None means wrong masks: RuntimeError.
+    (segment, sink, trees, tails) each visit, a choice for every part but
+    the last that leaves some last tree allowed, joins the chosen trees
+    once (their masks are disjoint, so the join is WTI), encodes the join
+    once as ``segment(parents, 0, k)`` and makes one ``sink`` call with
+    ``head + tails[x]`` for each allowed last tree x, in pool order; a
+    join returning None means wrong masks: RuntimeError.  ``tails[x]`` is
+    the segment of last tree x, of order c, relabelled to start at k - c.
     """
     count = 0
     last = len(pools) - 1
@@ -273,8 +265,7 @@ def _scan_sequence(k: int, pools: Sequence[OrderPool], clash: Sequence[Sequence[
             for j in _set_bits(allowed):
                 count += size - (tail & rows[j]).bit_count()
             return
-        segment, sink, trees = emit
-        tails = pools[last].tails
+        segment, sink, trees, tails = emit
         for j in _set_bits(allowed):
             reachable = tail & ~rows[j]
             if reachable:
@@ -314,18 +305,29 @@ def _build_subtree_pools(n: int, m_eff: int) -> WTIPool:
     return generate_wti_trees(max(1, (n - 1) // 2), max(1, m_eff - 1))
 
 
-def _scan_order(tables: dict[int, KeyTable], k: int, sequences: Sequence[IncreasingSequence], emit: Emit | None) -> int:
-    """Count (and optionally emit) the TI joins of order k over ``sequences``.
+def _scan_order(tables: dict[int, KeyTable], k: int, sequences: Sequence[IncreasingSequence],
+                codec: Codec | None, target: Callable[[Any], None] | None) -> int:
+    """Count (and with ``codec``, emit to ``target``) the TI joins of order k over ``sequences``.
 
     The sequences are scanned in the given order and share the order-k
-    pools and the clash rows of each pair of parts; all of it is local to
-    the call.  The rows of a pair are dropped after the last sequence
-    that uses it, and in that sequence a row is stored only where more
-    than one prefix reaches its coordinate, since no later node can read
-    it otherwise.  The rows are a pure cache: any list of sequences of
-    order k, in any order, gives the sum of their counts.
+    pools, the tails of the orders that end them (see ``_scan_sequence``)
+    and the clash rows of each pair of parts; all of it is local to the
+    call.  The rows of a pair are dropped after the last sequence that
+    uses it, and in that sequence a row is stored only where more than
+    one prefix reaches its coordinate, since no later node can read it
+    otherwise; storing every row, or keeping all rows to the call's end,
+    took the peak RSS of a count to 36 from 70 to 108 or 130 MB.  The
+    rows are a pure cache: any list of sequences of order k, in any
+    order, gives the sum of their counts.
     """
-    pools = {s: _order_pool(tables[s], k, emit) for s in {s for seq in sequences for s in seq}}
+    pools = {s: _order_pool(tables[s], k) for s in {s for seq in sequences for s in seq}}
+    emits: dict[int, tuple] = {}
+    if codec is not None:
+        segment, finish, trees = codec
+        sink = _sink(target, finish)
+        for c in {seq[-1] for seq in sequences}:
+            tails = [segment((0, *map((k - c).__add__, t.parents[1:])), k - c, k) for t in trees[c]]
+            emits[c] = segment, sink, trees, tails
     last_use = {pair: i for i, seq in enumerate(sequences) for pair in combinations(seq, 2)}
     pairs: dict[tuple[int, int], _ClashRows] = {}
     count = 0
@@ -343,7 +345,7 @@ def _scan_order(tables: dict[int, KeyTable], k: int, sequences: Sequence[Increas
                     rows.keep = prefixes > 1 or (s, later) not in final
                     clash[p].append(rows)
                 prefixes *= pools[s].full.bit_count()
-            count += _scan_sequence(k, [pools[s] for s in seq], clash, emit)
+            count += _scan_sequence(k, [pools[s] for s in seq], clash, emits.get(seq[-1]))
         for pair in final:
             pairs.pop(pair, None)
     return count
@@ -424,13 +426,12 @@ def generate_ti_trees(
     census[1] = 1
     # A shipped encoder, the very function, encodes by segment; any other per tree, and none leaves tuples.
     segment, finish = next((pair for key, pair in _SEGMENTS.items() if key is encoder), (_entries, encoder))
-    sink = None if func is None else _sink(func, finish)
-    if sink is not None:
-        sink([segment((0,), 0, 1)])  # the single vertex
+    if func is not None:
+        _sink(func, finish)([segment((0,), 0, 1)])  # the single vertex
     subtrees = _build_subtree_pools(n, m_eff)
     # Keyed here, before any worker starts, so no worker keys a pool again.
     tables = {s: _key_table(s, subtrees[s]) for s in range(1, len(subtrees))}
-    emit = None if sink is None else (segment, sink, subtrees)
+    codec = None if func is None else (segment, finish, subtrees)
     del subtrees  # only emission reads the trees: a count frees them for the clash rows
     orders = [(k, _phase2_sequences(k, m_eff)) for k in range(3, n + 1)]
     tasks = _tasks(tables, orders)
@@ -439,7 +440,7 @@ def generate_ti_trees(
     workers = min(workers, len(tasks))
     if workers <= 1:
         for k, sequences in orders:
-            census[k] += _scan_order(tables, k, sequences, emit)
+            census[k] += _scan_order(tables, k, sequences, codec, func)
         return census
 
     # Imported here: the process pool adds about 20 ms to the start-up
@@ -451,7 +452,6 @@ def generate_ti_trees(
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # platform without fork
         ctx = multiprocessing.get_context()
-    codec = emit and (segment, finish, emit[2])
     executor = ProcessPoolExecutor(
         max_workers=workers, mp_context=ctx, initializer=_worker_init, initargs=(tables, codec)
     )
@@ -473,10 +473,10 @@ def generate_ti_trees(
 
 # Set in each worker process by the initializer.
 _worker_tables: dict[int, KeyTable]
-_worker_codec: tuple | None  # (segment, finish, trees) when the run emits, else None
+_worker_codec: Codec | None  # the parent's codec, None in a count
 
 
-def _worker_init(tables: dict[int, KeyTable], codec: tuple | None) -> None:
+def _worker_init(tables: dict[int, KeyTable], codec: Codec | None) -> None:
     global _worker_tables, _worker_codec
     # Ctrl-C is the parent's to handle; it stops the pool.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -487,5 +487,4 @@ def _worker_task(task: Task) -> tuple[int, list[bytes]]:
     """Scan one task: its count and the blocks a serial run passes to ``func`` for it."""
     k, sequences = task
     blocks: list[bytes] = []
-    emit = _worker_codec and (_worker_codec[0], _sink(blocks.append, _worker_codec[1]), _worker_codec[2])
-    return _scan_order(_worker_tables, k, sequences, emit), blocks
+    return _scan_order(_worker_tables, k, sequences, _worker_codec, blocks.append), blocks

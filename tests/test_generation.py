@@ -5,12 +5,14 @@ from __future__ import annotations
 import collections
 import concurrent.futures
 import functools
+import gc
 import itertools
 import math
 import multiprocessing
 import os
 import pickle
 import random
+import weakref
 
 import pytest
 
@@ -36,7 +38,6 @@ from titrees.generation import (
     _phase2_sequences,
     _scan_order,
     _set_bits,
-    _sink,
 )
 from titrees.wti import SINGLE_VERTEX, join_wti_trees
 
@@ -177,9 +178,9 @@ def collect(scan, emit: bool):
 
 
 def as_tuples(func, subtrees):
-    """The ``emit`` argument of ``_scan_order`` that passes ``func`` parent
-    tuples of joins over the component pools ``subtrees``."""
-    return None if func is None else (_entries, _sink(func, None), subtrees)
+    """The ``codec`` and ``target`` arguments of ``_scan_order`` that pass
+    ``func`` parent tuples of joins over the component pools ``subtrees``."""
+    return (None, None) if func is None else ((_entries, None, subtrees), func)
 
 
 def scan_against_reference(n: int, m: int | None, emit: bool, rng: random.Random | None = None):
@@ -208,9 +209,9 @@ def scan_against_reference(n: int, m: int | None, emit: bool, rng: random.Random
         if rng is not None:
             rng.shuffle(sequences)
         masked = {s: _masked_collection(ref_subtrees[s], k) for s in {s for seq in sequences for s in seq}}
-        alone = [collect(lambda f: _scan_order(tables, k, [seq], as_tuples(f, subtrees)), emit) for seq in sequences]
+        alone = [collect(lambda f: _scan_order(tables, k, [seq], *as_tuples(f, subtrees)), emit) for seq in sequences]
         ref = [collect(lambda f: _scan_products(k, [seq], masked, f), emit) for seq in sequences]
-        whole = collect(lambda f: _scan_order(tables, k, sequences, as_tuples(f, subtrees)), emit)
+        whole = collect(lambda f: _scan_order(tables, k, sequences, *as_tuples(f, subtrees)), emit)
         yield k, sequences, alone, whole, ref
 
 
@@ -265,12 +266,65 @@ class TestBitSlicedScanAgainstReference:
         for k in range(3, n + 1):
             sequences = _phase2_sequences(k, n - 1)
             built.clear()
-            _scan_order(tables, k, sequences, None)
+            _scan_order(tables, k, sequences, None, None)
             uses = collections.Counter(pair for seq in sequences for pair in itertools.combinations(seq, 2))
             assert set(built) <= set(uses), k
             assert max(built.values(), default=1) == 1, k
             shared += sum(uses[pair] > 1 for pair in built)
         assert shared > 0
+
+    def test_rows_are_kept_only_while_a_later_lookup_may_read_them(self, monkeypatch):
+        # The retention rule changes no count, but it sets peak memory: a
+        # pair's rows are dropped after the last sequence that uses the
+        # pair, and in that sequence a row is stored only when more than
+        # one choice of the earlier parts' valid trees (a prefix) reaches
+        # the pair's earlier part, since otherwise no later lookup can read
+        # it.  Checked at every scanned sequence of a count to 24: which
+        # rows are alive, and in which sequence each stored row was stored.
+        live: dict[int, weakref.ref] = {}  # dicts are unhashable, so no WeakSet
+        scanning: dict[int, tuple[bool, int]] = {}  # id(rows) -> (final, prefixes)
+        stores: set[tuple[bool, int]] = set()  # (final, prefixes) of every stored row
+
+        class WatchedRows(generation._ClashRows):
+            def __init__(self, earlier, later):
+                super().__init__(earlier, later)
+                self.pair = earlier.table.order, later.table.order
+                live[id(self)] = weakref.ref(self)
+
+            def __setitem__(self, j, row):
+                stores.add(scanning[id(self)])
+                super().__setitem__(j, row)
+
+        real_scan = generation._scan_sequence
+
+        def watched_scan(k, pools, clash, emit):
+            i = sequences.index(tuple(pool.table.order for pool in pools))
+            later = {pair for seq in sequences[i + 1 :] for pair in itertools.combinations(seq, 2)}
+            gc.collect()  # a scan's walk closure is a reference cycle
+            alive = {rows.pair for rows in (ref() for ref in live.values()) if rows is not None}
+            assert alive <= later | set(itertools.combinations(sequences[i], 2)), (k, i)
+            scanning.clear()
+            prefixes = 1
+            for pool, part in zip(pools, clash):
+                scanning.update((id(rows), (rows.pair not in later, prefixes)) for rows in part)
+                prefixes *= pool.full.bit_count()
+            return real_scan(k, pools, clash, emit)
+
+        n = 24
+        census = generate_ti_trees(n)
+        monkeypatch.setattr(generation, "_ClashRows", WatchedRows)
+        monkeypatch.setattr(generation, "_scan_sequence", watched_scan)
+        subtrees = _build_subtree_pools(n, n - 1)
+        tables = {s: _key_table(s, subtrees[s]) for s in range(1, len(subtrees))}
+        gc.freeze()  # so that each collection walks only what the scan made
+        try:
+            for k in range(3, n + 1):
+                sequences = _phase2_sequences(k, n - 1)
+                assert _scan_order(tables, k, sequences, None, None) == census[k], k
+        finally:
+            gc.unfreeze()
+        assert not any(final and prefixes == 1 for final, prefixes in stores)
+        assert any(final for final, _ in stores) and any(not final for final, _ in stores)
 
 
 class TestKeyTablesAgainstSlicing:
@@ -286,7 +340,7 @@ class TestKeyTablesAgainstSlicing:
             table = _key_table(s, subtrees[s])
             for k in range(2 * s + 1, n + 1):
                 ref = _sliced_pool(subtrees[s], k)
-                new = _order_pool(table, k, None)
+                new = _order_pool(table, k)
                 assert all(b > 0 for b in new.offsets), (s, k)
                 valid = list(_set_bits(new.full))
                 assert [subtrees[s][j] for j in valid] == ref.trees, (s, k)
@@ -757,8 +811,11 @@ class TestCodecs:
 
     def test_a_shipped_encoder_encodes_each_prefix_and_tail_once(self, monkeypatch):
         # A serial graph6 run never calls the per-tree encoder: it encodes
-        # segments, one per prefix visit and per relabelled tail, and each
-        # tree is one addition of two of them.
+        # segments, and each tree is one addition of two of them.  Heads
+        # (from vertex 0) are the single vertex and one per visit, so one
+        # per call of ``func``.  Tails are encoded once per order k for
+        # each component order that ends some sequence of order k, and for
+        # no other.
         segment, finish = formats._SEGMENTS[graph6_line]
         segments = collections.Counter()
 
@@ -768,10 +825,12 @@ class TestCodecs:
 
         monkeypatch.setitem(formats._SEGMENTS, graph6_line, (counted, finish))
         lines: list[bytes] = []
-        census = generate_ti_trees(22, None, lines.append, encoder=graph6_line)
-        trees = sum(census.values())
+        generate_ti_trees(22, None, lines.append, encoder=graph6_line)
         assert b"".join(lines) == b"".join(map(graph6_line, ti_trees_up_to(22)))
-        assert 0 < segments[True] < trees / 4 and 0 < segments[False] < trees / 4
+        ends = [{seq[-1] for seq in _phase2_sequences(k, 21)} for k in range(3, 23)]
+        subtrees = _build_subtree_pools(22, 21)
+        assert segments[True] == len(lines)
+        assert segments[False] == sum(len(subtrees[c]) for orders in ends for c in orders)
 
     @pytest.mark.parametrize("encoder", [graph6_line, sparse6_line, parent_list_line, shape_line])
     def test_the_codec_a_worker_receives_pickles(self, encoder, monkeypatch):
@@ -817,9 +876,9 @@ class TestCodecs:
         seen: list = []
         real = generation._scan_order
 
-        def recording(tables, k, sequences, emit):
-            seen.append(emit[0])
-            return real(tables, k, sequences, emit)
+        def recording(tables, k, sequences, codec, target):
+            seen.append(codec[0])
+            return real(tables, k, sequences, codec, target)
 
         monkeypatch.setattr(generation, "_scan_order", recording)
         trees: list = []
