@@ -37,28 +37,28 @@ still allowed at a coordinate are one big-int AND-NOT away, and the last
 coordinate is counted with ``bit_count()`` instead of being tested tree
 by tree.
 
-A call of ``_scan_order`` scans a list of sequences of one order, and its
-pools, tails and clash rows live only as long as the call.  A serial run
-makes one call per order.  A parallel run cuts each order's list into
-maximal contiguous chunks, none heavier than the heaviest single
-sequence, a sequence weighing the number of candidates it scans.  No
-task can be lighter than that sequence, and list scheduling ends a run
-within the longest task of an even share of the work (Graham, SIAM J.
-Appl. Math. 17, 1969), so the cut keeps the longest task no longer than
-it has to be.  It bounds a task's scan, not its result: a chunk's
-encodings grow with the order.
+Phase 2 cuts each order's sequences into maximal contiguous chunks, the
+tasks, none heavier than the heaviest single sequence, a sequence
+weighing the number of candidates it scans.  A parallel run forks its
+workers once and deals them the tasks by list scheduling, which ends a
+run within the heaviest task of an even share of the work (Graham, SIAM
+J. Appl. Math. 17, 1969).  Each process scans its tasks with one
+``_scan_order`` call per order, which shares pools, tails and clash rows
+across them, and a serial run is one process with every task.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
 import signal
+import sys
 from array import array
-from collections import deque
 from functools import reduce
-from itertools import combinations, islice
+from itertools import combinations, groupby, islice
 from math import prod
-from operator import or_
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from operator import itemgetter, or_
+from typing import Any, BinaryIO, Callable, Iterator, NamedTuple, Sequence
 
 from .enumeration import IncreasingSequence, WTIPool, generate_increasing, generate_wti_trees
 from .formats import _SEGMENTS
@@ -69,9 +69,8 @@ __all__ = ["generate_ti_trees"]
 # An emitting run's one (segment, finish, trees), shared by every scan; ``trees[c]`` holds the components of order c.
 Codec = tuple[Callable[[tuple[int, ...], int, int], Any], Callable[[Any], bytes] | None, WTIPool]
 
-# One parallel phase-2 task: a joined order and a contiguous chunk of its
-# root-subtree order sequences (see ``_tasks``).
-Task = tuple[int, list[IncreasingSequence]]
+# A phase-2 task: a joined order, a contiguous chunk of its sequences and its worker (see ``_tasks``).
+Task = tuple[int, list[IncreasingSequence], int]
 
 
 class KeyTable(NamedTuple):
@@ -306,8 +305,8 @@ def _build_subtree_pools(n: int, m_eff: int) -> WTIPool:
 
 
 def _scan_order(tables: dict[int, KeyTable], k: int, sequences: Sequence[IncreasingSequence],
-                codec: Codec | None, target: Callable[[Any], None] | None) -> int:
-    """Count (and with ``codec``, emit to ``target``) the TI joins of order k over ``sequences``.
+                codec: Codec | None, target: Callable[[Any], None] | None) -> Iterator[int]:
+    """Yield the count of TI joins of order k of each sequence; with ``codec``, emit them to ``target`` first.
 
     The sequences are scanned in the given order and share the order-k
     pools, the tails of the orders that end them (see ``_scan_sequence``)
@@ -318,7 +317,7 @@ def _scan_order(tables: dict[int, KeyTable], k: int, sequences: Sequence[Increas
     otherwise; storing every row, or keeping all rows to the call's end,
     took the peak RSS of a count to 36 from 70 to 108 or 130 MB.  The
     rows are a pure cache: any list of sequences of order k, in any
-    order, gives the sum of their counts.
+    order, gives the same count for each.
     """
     pools = {s: _order_pool(tables[s], k) for s in {s for seq in sequences for s in seq}}
     emits: dict[int, tuple] = {}
@@ -330,9 +329,9 @@ def _scan_order(tables: dict[int, KeyTable], k: int, sequences: Sequence[Increas
             emits[c] = segment, sink, trees, tails
     last_use = {pair: i for i, seq in enumerate(sequences) for pair in combinations(seq, 2)}
     pairs: dict[tuple[int, int], _ClashRows] = {}
-    count = 0
     for i, seq in enumerate(sequences):
         final = {pair for pair in combinations(seq, 2) if last_use[pair] == i}
+        count = 0
         if all(pools[s].full for s in seq):
             clash = []
             prefixes = 1
@@ -345,34 +344,82 @@ def _scan_order(tables: dict[int, KeyTable], k: int, sequences: Sequence[Increas
                     rows.keep = prefixes > 1 or (s, later) not in final
                     clash[p].append(rows)
                 prefixes *= pools[s].full.bit_count()
-            count += _scan_sequence(k, [pools[s] for s in seq], clash, emits.get(seq[-1]))
+            count = _scan_sequence(k, [pools[s] for s in seq], clash, emits.get(seq[-1]))
         for pair in final:
             pairs.pop(pair, None)
-    return count
+        yield count
 
 
-def _tasks(tables: dict[int, KeyTable], orders: list[tuple[int, list[IncreasingSequence]]]) -> list[Task]:
-    """Cut each order's sequences into the tasks of a parallel run.
+def _tasks(tables: dict[int, KeyTable], orders: list[tuple[int, list[IncreasingSequence]]], workers: int) -> list[Task]:
+    """Cut each order's sequences into the tasks of phase 2, and give each task a worker.
 
     A sequence weighs the product of its parts' pool sizes, the number
     of candidates its scan ranges over.  Each order's list is cut into
     maximal contiguous chunks, none heavier than the heaviest single
     sequence of the run: a chunk ends only where its next sequence would
     push it over that weight.  That weight, and with it the output of
-    the heaviest task, grows with the largest order.
+    the heaviest task, grows with the largest order.  Each task goes to the
+    least-loaded worker so far, the first on a tie; in this list schedule
+    no worker's load exceeds the mean load plus the heaviest task.
     """
     weights = {k: [prod(tables[s].size for s in seq) for seq in sequences] for k, sequences in orders}
     heaviest = max((w for ws in weights.values() for w in ws), default=0)
+    loads = [0] * workers
     tasks: list[Task] = []
     for k, sequences in orders:
         load = heaviest + 1  # no chunk of order k yet
         for seq, weight in zip(sequences, weights[k]):
             load += weight
             if load > heaviest:
-                tasks.append((k, []))
+                tasks.append((k, [], loads.index(min(loads))))
                 load = weight
             tasks[-1][1].append(seq)
+            loads[tasks[-1][2]] += weight
     return tasks
+
+
+def _scan_share(tables: dict[int, KeyTable], share: list[Task], codec: Codec | None,
+                target: Callable[[Any], None] | None) -> Iterator[tuple[int, int]]:
+    """The order and count of each task of ``share``, from one ``_scan_order`` call per
+    order over its tasks' chunks; with ``codec``, a task's trees reach ``target`` first."""
+    for k, group in groupby(share, itemgetter(0)):
+        chunks = [chunk for _, chunk, _ in group]
+        counts = _scan_order(tables, k, [seq for chunk in chunks for seq in chunk], codec, target)
+        for chunk in chunks:
+            yield k, sum(islice(counts, len(chunk)))
+
+
+def _fork_worker(tables: dict[int, KeyTable], share: list[Task], codec: Codec | None, readers: list[BinaryIO]) -> int:
+    """Fork a worker that writes one frame per task of ``share`` to a new
+    pipe, whose read end joins ``readers``: the 8-byte length of the
+    marshalled ``(count, blocks)``, then it.  Ctrl-C is the parent's to
+    handle; the worker leaves only by ``os._exit``, 1 with a traceback."""
+    r, w = os.pipe()
+    readers.append(open(r, "rb"))
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])  # and kept blocked in the worker
+    try:
+        pid = os.fork()
+        if pid == 0:
+            try:
+                for reader in readers:
+                    reader.close()
+                out = open(w, "wb")  # closed by the exit, so a failure is reported before the parent sees it
+                blocks: list[bytes] = []
+                for _, count in _scan_share(tables, share, codec, blocks.append):
+                    frame = marshal.dumps((count, blocks))
+                    out.writelines((len(frame).to_bytes(8, "little"), frame))
+                    out.flush()
+                    blocks.clear()
+                os._exit(0)
+            except BaseException:
+                sys.excepthook(*sys.exc_info())  # the traceback an uncaught exception prints
+                sys.stderr.flush()
+            finally:
+                os._exit(1)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        os.close(w)
+    return pid
 
 
 def generate_ti_trees(
@@ -400,18 +447,17 @@ def generate_ti_trees(
     ``m=None`` means unbounded degree.  Trees arrive by order, then by
     root-subtree order sequence, then by tuple of components.
 
-    Phase 2 scans each order's sequences with ``_scan_order``: with
-    ``workers == 1`` or a single task, in this process, one call per
-    order.  Otherwise each task is a contiguous chunk of one order's
-    sequences, no heavier than the heaviest single sequence (see
-    ``_tasks``), and the tasks run on a pool of at most ``workers``
-    processes and no more than one per task (CPython threads would
-    serialize on the interpreter lock).  The workers encode their trees,
-    so emitting from them needs an encoder, and each task's blocks reach
-    ``func`` in task order.  At most two tasks per worker are submitted
-    and not yet passed on, so a slow reader holds back the workers, but
-    the parent may hold that many task results, each one chunk's
-    encodings, which grow with n.
+    Phase 2 runs the tasks of ``_tasks`` in this process when there is
+    one worker or one task, or no ``os.fork``.  Otherwise it forks once
+    up to ``workers`` processes, no more than there are tasks (CPython
+    threads would serialize on the interpreter lock), each with a static
+    share of the tasks, and passes each task's blocks to ``func`` in task
+    order.  The workers encode their trees, so emitting from them needs
+    an encoder.  This process holds one task's blocks at a time, so a slow
+    reader holds back the workers; a task's blocks grow with n.  A worker
+    that fails is a RuntimeError, and every exit reaps the workers, after
+    killing them on an early one (an exception in ``func``, Ctrl-C).  As
+    the workers are forked, a caller that runs other threads passes 1.
     """
     if n < 1:
         raise ValueError(f"order bound must be >= 1, got {n}")
@@ -434,57 +480,36 @@ def generate_ti_trees(
     codec = None if func is None else (segment, finish, subtrees)
     del subtrees  # only emission reads the trees: a count frees them for the clash rows
     orders = [(k, _phase2_sequences(k, m_eff)) for k in range(3, n + 1)]
-    tasks = _tasks(tables, orders)
-    # A fork-based pool starts all its workers at the first task, so
-    # never ask for more workers than there are tasks.
-    workers = min(workers, len(tasks))
+    tasks = _tasks(tables, orders, workers if hasattr(os, "fork") else 1)
+    workers = len({worker for _, _, worker in tasks})  # no more than there are tasks
     if workers <= 1:
-        for k, sequences in orders:
-            census[k] += _scan_order(tables, k, sequences, codec, func)
+        for k, count in _scan_share(tables, tasks, codec, func):
+            census[k] += count
         return census
 
-    # Imported here: the process pool adds about 20 ms to the start-up
-    # of every run, and serial runs never use it.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
+    readers: list[BinaryIO] = []
+    pids: list[int] = []
     try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # platform without fork
-        ctx = multiprocessing.get_context()
-    executor = ProcessPoolExecutor(
-        max_workers=workers, mp_context=ctx, initializer=_worker_init, initargs=(tables, codec)
-    )
-    try:
-        submitted = (executor.submit(_worker_task, task) for task in tasks)
-        window = deque(islice(submitted, 2 * workers))
-        for k, _ in tasks:
-            count, blocks = window.popleft().result()
-            window.extend(islice(submitted, 1))
+        for worker in range(workers):
+            pids.append(_fork_worker(tables, [task for task in tasks if task[2] == worker], codec, readers))
+        # The next task's worker has had its earlier frames read, so it is writing this one: no deadlock.
+        for k, _, worker in tasks:
+            size = int.from_bytes(readers[worker].read(8), "little")
+            frame = readers[worker].read(size)
+            if not size or len(frame) < size:
+                raise RuntimeError("a phase-2 worker ended before its last task")
+            count, blocks = marshal.loads(frame)
             census[k] += count
             for block in blocks:
                 func(block)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        # On an interrupt or a closed pipe, drop the tasks not yet started
-        # instead of running the rest of the list.
-        executor.shutdown(cancel_futures=True)
+        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
+        for reader in readers:
+            reader.close()
+    if failed:
+        raise RuntimeError(f"{failed} of {workers} phase-2 workers failed")
     return census
-
-
-# Set in each worker process by the initializer.
-_worker_tables: dict[int, KeyTable]
-_worker_codec: Codec | None  # the parent's codec, None in a count
-
-
-def _worker_init(tables: dict[int, KeyTable], codec: Codec | None) -> None:
-    global _worker_tables, _worker_codec
-    # Ctrl-C is the parent's to handle; it stops the pool.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _worker_tables, _worker_codec = tables, codec
-
-
-def _worker_task(task: Task) -> tuple[int, list[bytes]]:
-    """Scan one task: its count and the blocks a serial run passes to ``func`` for it."""
-    k, sequences = task
-    blocks: list[bytes] = []
-    return _scan_order(_worker_tables, k, sequences, _worker_codec, blocks.append), blocks

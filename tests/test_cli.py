@@ -213,14 +213,17 @@ def start_cli(*argv, **kwargs):
 class TestClosedPipe:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_reader_closing_early_is_a_quiet_success(self, threads):
-        # -p 22 writes far more than a 64 KiB pipe buffer holds.
-        proc = start_cli("-p", "22", "--threads", threads, stdout=subprocess.PIPE)
+        # -p 22 writes far more than a 64 KiB pipe buffer holds.  The CLI
+        # leads a process group of its own, so no worker may outlive it.
+        proc = start_cli("-p", "22", "--threads", threads, stdout=subprocess.PIPE, start_new_session=True)
         assert proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
         assert proc.wait(timeout=120) == 0
         assert err == b""
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
 
 
 class TestInterrupt:
@@ -244,20 +247,33 @@ class TestInterrupt:
             proc.kill()
         assert proc.returncode == 130
         assert err == b""
+        with pytest.raises(ProcessLookupError):  # the workers went with the CLI
+            os.killpg(proc.pid, 0)
+
+
+def imported_modules(monkeypatch, *argv) -> set[bytes]:
+    """The modules a CLI run imports, which must succeed and print its census."""
+    # Python lists every module it imports on stderr under this variable.
+    monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
+    proc = start_cli(*argv, stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert out.splitlines() == [b"%d %d" % item for item in generate_ti_trees(int(argv[1])).items()]
+    return {line.rsplit(b"|", 1)[-1].strip() for line in err.splitlines()}
 
 
 class TestStartUp:
     def test_a_serial_run_imports_no_process_pool(self, monkeypatch):
-        # The process pool's modules add about 20 ms to start-up, so
-        # generate_ti_trees imports them only for a parallel run; the tree
-        # records are named tuples, so dataclasses (and the inspect it
-        # pulls in) never loads.  A bare interpreter imports none of these.
-        # Python lists every module it imports on stderr under this variable.
-        monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
-        proc = start_cli("-c", "12", "--threads", "1", stdout=subprocess.PIPE)
-        out, err = proc.communicate(timeout=60)
-        assert proc.returncode == 0
-        assert out.splitlines()[-1] == b"12 0"
-        imported = {line.rsplit(b"|", 1)[-1].strip() for line in err.splitlines()}
+        # The process pool's modules add about 20 ms to start-up, so no
+        # run imports them; the tree records are named tuples, so
+        # dataclasses (and the inspect it pulls in) never loads.  A bare
+        # interpreter imports none of these.
+        imported = imported_modules(monkeypatch, "-c", "12", "--threads", "1")
         assert b"titrees.generation" in imported
         assert not {b"multiprocessing", b"concurrent.futures", b"dataclasses", b"inspect"} & imported
+
+    def test_a_parallel_run_imports_no_process_pool(self, monkeypatch):
+        # Workers are forked directly, so a parallel run needs no pool.
+        imported = imported_modules(monkeypatch, "-c", "16", "--threads", "2")
+        assert b"titrees.generation" in imported
+        assert not {b"multiprocessing", b"concurrent.futures"} & imported

@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import collections
-import concurrent.futures
 import functools
 import gc
 import itertools
+import marshal
 import math
-import multiprocessing
 import os
 import pickle
 import random
+import types
 import weakref
 
 import pytest
@@ -38,6 +38,7 @@ from titrees.generation import (
     _phase2_sequences,
     _scan_order,
     _set_bits,
+    _tasks,
 )
 from titrees.wti import SINGLE_VERTEX, join_wti_trees
 
@@ -192,7 +193,8 @@ def scan_against_reference(n: int, m: int | None, emit: bool, rng: random.Random
     the seed kernel in ``reference_scan.py`` on the pools of
     ``reference_phase1``, one entry per sequence.  ``whole`` is one
     ``_scan_order`` call on the order's whole list, as a serial run makes
-    it, in which the sequences share their clash rows.  With ``rng`` each
+    it, in which the sequences share their clash rows: the count it
+    yields for each sequence, or the trees it emits.  With ``rng`` each
     order's list is shuffled first.  Before the scans, checks that the
     two pools agree tree for tree, in order: the package caps children at
     m - 1 where the reference filters by degree.
@@ -209,9 +211,14 @@ def scan_against_reference(n: int, m: int | None, emit: bool, rng: random.Random
         if rng is not None:
             rng.shuffle(sequences)
         masked = {s: _masked_collection(ref_subtrees[s], k) for s in {s for seq in sequences for s in seq}}
-        alone = [collect(lambda f: _scan_order(tables, k, [seq], *as_tuples(f, subtrees)), emit) for seq in sequences]
+        alone = [
+            collect(lambda f: sum(_scan_order(tables, k, [seq], *as_tuples(f, subtrees))), emit) for seq in sequences
+        ]
         ref = [collect(lambda f: _scan_products(k, [seq], masked, f), emit) for seq in sequences]
-        whole = collect(lambda f: _scan_order(tables, k, sequences, *as_tuples(f, subtrees)), emit)
+        if emit:
+            whole = collect(lambda f: sum(_scan_order(tables, k, sequences, *as_tuples(f, subtrees))), emit)
+        else:
+            whole = list(_scan_order(tables, k, sequences, None, None))
         yield k, sequences, alone, whole, ref
 
 
@@ -221,8 +228,8 @@ class TestBitSlicedScanAgainstReference:
         total = 0
         for k, _, alone, whole, ref in scan_against_reference(26, m, emit=False):
             assert alone == ref, k
-            assert whole == sum(ref), k
-            total += whole
+            assert whole == ref, k
+            total += sum(whole)
         if m != 2:
             assert total > 0
 
@@ -244,7 +251,7 @@ class TestBitSlicedScanAgainstReference:
         # later sequence reads; that only costs recomputation.
         shuffled = False
         for k, sequences, _, whole, ref in scan_against_reference(26, m, emit=False, rng=random.Random(26)):
-            assert whole == sum(ref), k
+            assert whole == ref, k
             shuffled |= sequences != _phase2_sequences(k, 25 if m is None else m)
         assert shuffled
 
@@ -266,7 +273,7 @@ class TestBitSlicedScanAgainstReference:
         for k in range(3, n + 1):
             sequences = _phase2_sequences(k, n - 1)
             built.clear()
-            _scan_order(tables, k, sequences, None, None)
+            sum(_scan_order(tables, k, sequences, None, None))
             uses = collections.Counter(pair for seq in sequences for pair in itertools.combinations(seq, 2))
             assert set(built) <= set(uses), k
             assert max(built.values(), default=1) == 1, k
@@ -320,7 +327,7 @@ class TestBitSlicedScanAgainstReference:
         try:
             for k in range(3, n + 1):
                 sequences = _phase2_sequences(k, n - 1)
-                assert _scan_order(tables, k, sequences, None, None) == census[k], k
+                assert sum(_scan_order(tables, k, sequences, None, None)) == census[k], k
         finally:
             gc.unfreeze()
         assert not any(final and prefixes == 1 for final, prefixes in stores)
@@ -522,45 +529,6 @@ class TestPhase2Sequences:
                 _phase2_sequences(k, 2)
 
 
-REAL_POOL = concurrent.futures.ProcessPoolExecutor
-
-
-class RecordingPool:
-    """A process pool that records its tasks and counts results not yet read.
-
-    It fails the run as soon as the parent has submitted more than two
-    tasks per worker whose results it has not read.
-    """
-
-    def __init__(self, *args, max_workers, **kwargs):
-        self.pool = REAL_POOL(*args, max_workers=max_workers, **kwargs)
-        self.limit = 2 * max_workers
-        self.tasks: list = []
-        self.outstanding = self.peak = 0
-
-    def submit(self, fn, task):
-        self.outstanding += 1
-        if self.outstanding > self.limit:
-            raise AssertionError(f"{self.outstanding} results outstanding with a limit of {self.limit}")
-        self.peak = max(self.peak, self.outstanding)
-        self.tasks.append(task)
-        return Outstanding(self, self.pool.submit(fn, task))
-
-    def shutdown(self, **kwargs):
-        self.pool.shutdown(**kwargs)
-
-
-class Outstanding:
-    """A task of a ``RecordingPool`` whose result has not been read yet."""
-
-    def __init__(self, pool: RecordingPool, future: concurrent.futures.Future):
-        self.pool, self.future = pool, future
-
-    def result(self):
-        self.pool.outstanding -= 1
-        return self.future.result()
-
-
 def awkward_line(parents) -> bytes:
     """An encoder whose output no separator frames: some encodings are
     empty, the others hold newlines of their own."""
@@ -586,16 +554,43 @@ def sequence_weights(n: int, m_eff: int) -> dict[int, list[tuple[tuple[int, ...]
 
 
 @pytest.fixture
-def recording_pools(monkeypatch):
-    """The ``RecordingPool``s that runs start in the test, in order."""
-    pools: list[RecordingPool] = []
+def run_tasks(monkeypatch):
+    """The tasks of each run started in the test, in order: what ``_tasks``
+    returned, each task an order, its chunk of sequences and its worker."""
+    runs: list = []
 
-    def start(*args, **kwargs):
-        pools.append(RecordingPool(*args, **kwargs))
-        return pools[-1]
+    def recording(*args):
+        runs.append(_tasks(*args))
+        return runs[-1]
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", start)
-    return pools
+    monkeypatch.setattr(generation, "_tasks", recording)
+    return runs
+
+
+@pytest.fixture
+def scan_log(monkeypatch, tmp_path):
+    """Every ``_scan_order`` call of the test, in whichever process it ran:
+    a function that returns ``(pid, k, codec is None)`` for each, in the
+    order each process made them."""
+    log = tmp_path / "scans"
+    real = generation._scan_order
+
+    def logged(tables, k, sequences, codec, target):
+        with log.open("a") as out:
+            out.write(f"{os.getpid()} {k} {int(codec is None)}\n")
+        return real(tables, k, sequences, codec, target)
+
+    monkeypatch.setattr(generation, "_scan_order", logged)
+    return lambda: [(int(pid), int(k), none == "1") for pid, k, none in map(str.split, log.read_text().splitlines())]
+
+
+def no_children_left() -> bool:
+    """Whether this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 class TestParallel:
@@ -623,28 +618,20 @@ class TestParallel:
         census = generate_ti_trees(18, None, lines.append, workers=workers, encoder=shape_line)
         assert b"".join(lines).splitlines() == [b"tuple 1"] * sum(census.values())
 
-    def test_spawn_fallback_matches_serial(self, monkeypatch):
-        # Where fork is missing, get_context("fork") raises ValueError and
-        # the run takes the default context, spawn on those platforms.  A
-        # spawned worker gets the key tables and the codec, which holds the
-        # encoder's segments and the component trees, pickled through the
-        # pool's initargs.
-        real = multiprocessing.get_context
-        asked: list[str | None] = []
-
-        def no_fork(method=None):
-            asked.append(method)
-            if method == "fork":
-                raise ValueError("cannot find context for 'fork'")
-            return real("spawn" if method is None else method)
-
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    def test_a_platform_without_fork_runs_serially(self, monkeypatch, scan_log):
+        # Where os.fork is missing, a run asked for workers scans in this
+        # process, one _scan_order call per order, and gives the same calls.
         serial: list[bytes] = []
-        census = generate_ti_trees(18, None, lambda t: serial.append(graph6_line(t)))
-        spawned: list[bytes] = []
-        assert generate_ti_trees(18, None, spawned.append, workers=2, encoder=graph6_line) == census
-        assert asked == ["fork", None]
-        assert b"".join(spawned) == b"".join(serial)
+        census = generate_ti_trees(18, None, serial.append, encoder=graph6_line)
+        before = len(scan_log())
+        monkeypatch.delattr(os, "fork")
+        blocks: list[bytes] = []
+        assert generate_ti_trees(18, None, blocks.append, workers=2, encoder=graph6_line) == census
+        assert blocks == serial
+        scans = scan_log()
+        assert scans[before:] == scans[:before]
+        assert [pid for pid, _, _ in scans] == [os.getpid()] * len(scans)
+        assert [k for _, k, _ in scans[:before]] == sorted({k for _, k, _ in scans})
 
     def test_encoded_lines_with_one_worker_match_serial(self):
         # One worker runs in this process and passes on one call per
@@ -680,10 +667,9 @@ class TestParallel:
     def test_degree_bound_in_parallel(self):
         assert generate_ti_trees(15, 3, workers=2) == generate_ti_trees(15, 3)
 
-    def test_no_more_workers_than_tasks(self, monkeypatch):
-        # A fork-based pool starts every worker at the first task, so the
-        # pool must never be asked for more workers than there are tasks.
-        # At n = 13 the heaviest of the 13 sequences weighs 18, and
+    def test_no_more_workers_than_tasks(self, monkeypatch, run_tasks):
+        # Each worker is forked once, and never more of them than there are
+        # tasks.  At n = 13 the heaviest of the 13 sequences weighs 18, and
         # cutting each order at that weight makes 8 tasks.
         n = 13
         weights = sequence_weights(n, n - 1)
@@ -695,33 +681,44 @@ class TestParallel:
                 load += w
                 if load > heaviest:
                     tasks, load = tasks + 1, w
-        requested: list[int] = []
+        real = os.fork
+        forks: list[int] = []
 
-        def capped_pool(*args, max_workers, **kwargs):
-            if max_workers > tasks:
-                raise AssertionError(f"{max_workers} workers for {tasks} tasks")
-            requested.append(max_workers)
-            return REAL_POOL(*args, max_workers=max_workers, **kwargs)
+        def counted():
+            forks.append(os.getpid())
+            return real()
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", capped_pool)
+        monkeypatch.setattr(os, "fork", counted)
         assert generate_ti_trees(n, workers=64) == generate_ti_trees(n)
         assert heaviest == 18
         assert tasks == 8
-        assert requested == [8]
+        assert forks == [os.getpid()] * tasks
+        assert sorted({worker for _, _, worker in run_tasks[0]}) == list(range(tasks))
+        assert no_children_left()
 
-    def test_results_outstanding_stay_within_two_per_worker(self, recording_pools):
-        # A reader that stalls holds back the workers instead of letting
-        # the lines of finished tasks pile up in this process.
+    def test_the_parent_holds_one_task_frame_at_a_time(self, monkeypatch, run_tasks):
+        # A reader that stalls holds back the workers instead of letting the
+        # lines of finished tasks pile up in this process: it reads a task's
+        # frame only once every block of the frames before it reached func.
         serial: list[bytes] = []
         generate_ti_trees(16, None, lambda t: serial.append(parent_list_line(t)))
         blocks: list[bytes] = []
+        frames: list[list[bytes]] = []
+
+        def loads(frame):
+            assert blocks[1:] == [block for task in frames for block in task]
+            count, task = marshal.loads(frame)
+            frames.append(task)
+            return count, task
+
+        monkeypatch.setattr(generation, "marshal", types.SimpleNamespace(loads=loads, dumps=marshal.dumps))
         generate_ti_trees(16, None, blocks.append, workers=2, encoder=parent_list_line)
         assert b"".join(blocks) == b"".join(serial)
-        [pool] = recording_pools
-        assert len(pool.tasks) > pool.limit == 4
-        assert pool.peak == pool.limit
+        tasks = run_tasks[-1]
+        assert len(frames) == len(tasks) > 4
+        assert blocks[1:] == [block for task in frames for block in task]
 
-    def test_each_visit_reaches_func_in_one_call(self, recording_pools):
+    def test_each_visit_reaches_func_in_one_call(self, run_tasks):
         # A task's blocks come back as a list, one per visit, and are
         # passed on in task order: the calls are those of a serial run,
         # and there are more of them than tasks.
@@ -729,45 +726,102 @@ class TestParallel:
         census = generate_ti_trees(18, None, serial.append, encoder=graph6_line)
         blocks: list[bytes] = []
         generate_ti_trees(18, None, blocks.append, workers=2, encoder=graph6_line)
-        [pool] = recording_pools
+        tasks = run_tasks[1]
         assert blocks == serial
         assert blocks[0] == graph6_line((0,))
         assert all(blocks)
-        assert len(pool.tasks) + 1 < len(blocks) < sum(census.values())
+        assert len(tasks) + 1 < len(blocks) < sum(census.values())
 
     @pytest.mark.parametrize("m", [None, 3])
-    def test_tasks_concatenate_to_the_run_sequences(self, recording_pools, m):
+    def test_tasks_concatenate_to_the_run_sequences(self, run_tasks, m):
         n = 19
         generate_ti_trees(n, m, workers=2)
-        [pool] = recording_pools
+        [tasks] = run_tasks
         m_eff = n - 1 if m is None else m
         expected = [(k, seq) for k in range(3, n + 1) for seq in _phase2_sequences(k, m_eff)]
-        assert [(k, seq) for k, run in pool.tasks for seq in run] == expected
+        assert [(k, seq) for k, run, _ in tasks for seq in run] == expected
 
     @pytest.mark.parametrize("m", [None, 3])
-    def test_each_task_is_a_maximal_chunk_no_heavier_than_the_heaviest_sequence(self, recording_pools, m):
+    def test_each_task_is_a_maximal_chunk_no_heavier_than_the_heaviest_sequence(self, run_tasks, m):
         n = 19
         generate_ti_trees(n, m, workers=2)
-        [pool] = recording_pools
+        [tasks] = run_tasks
         weights = sequence_weights(n, n - 1 if m is None else m)
         weight = {(k, seq): w for k, run in weights.items() for seq, w in run}
         heaviest = max(weight.values())
         loads = []
-        for k, run in pool.tasks:
+        for k, run, _ in tasks:
             assert run and all(sum(seq) == k - 1 for seq in run), (k, run)
             loads.append(sum(weight[k, seq] for seq in run))
             assert loads[-1] <= heaviest, (k, run)
-        assert len(pool.tasks) < sum(len(run) for _, run in pool.tasks)
-        for load, (k, _), (next_k, next_run) in zip(loads, pool.tasks, pool.tasks[1:]):
+        assert len(tasks) < sum(len(run) for _, run, _ in tasks)
+        for load, (k, _, _), (next_k, next_run, _) in zip(loads, tasks, tasks[1:]):
             assert k != next_k or load + weight[k, next_run[0]] > heaviest, (k, next_run)
+
+    @pytest.mark.parametrize("m", [None, 3])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_no_worker_carries_more_than_the_mean_load_plus_the_heaviest_task(self, run_tasks, m, workers):
+        # Graham's bound for a list schedule: each task goes to the worker
+        # that is least loaded when its turn comes, so the worker that ends
+        # heaviest was no heavier than the mean before its last task.
+        n = 22
+        assert generate_ti_trees(n, m, workers=workers) == generate_ti_trees(n, m)
+        [tasks, serial] = run_tasks
+        assert {worker for _, _, worker in serial} == {0}
+        weight = {(k, seq): w for k, run in sequence_weights(n, n - 1 if m is None else m).items() for seq, w in run}
+        task_loads = [sum(weight[k, seq] for seq in run) for k, run, _ in tasks]
+        loads = [0] * workers
+        for load, (_, _, worker) in zip(task_loads, tasks):
+            assert loads[worker] == min(loads), worker
+            loads[worker] += load
+        assert max(loads) <= sum(loads) / workers + max(task_loads)
+        assert min(loads) > 0
+
+    def test_each_worker_scans_each_of_its_orders_once(self, scan_log):
+        # A worker scans all its tasks of an order in one _scan_order call,
+        # so its chunks of the order share their pools and clash rows.
+        census = generate_ti_trees(19, None, workers=2)
+        scans = [(pid, k) for pid, k, _ in scan_log()]
+        assert census == generate_ti_trees(19)
+        assert len(scans) == len(set(scans))
+        workers = {pid for pid, _ in scans}
+        assert len(workers) == 2 and os.getpid() not in workers
+        assert {k for _, k, _ in scan_log()[len(scans) :]} == {k for _, k in scans}
+
+    def test_a_failing_worker_is_an_error_and_leaves_no_process(self, monkeypatch, capfd):
+        # A worker prints its traceback and exits nonzero; the parent reads
+        # a short frame, and raises once it has killed and reaped them all.
+        def broken(k, pools, clash, emit):
+            raise ZeroDivisionError("broken scan")
+
+        monkeypatch.setattr(generation, "_scan_sequence", broken)
+        with pytest.raises(RuntimeError):
+            generate_ti_trees(18, None, lambda block: None, workers=2, encoder=graph6_line)
+        assert no_children_left()
+        assert "ZeroDivisionError: broken scan" in capfd.readouterr().err
+
+    def test_an_exception_in_func_kills_and_reaps_the_workers(self):
+        # The single vertex is passed on before any worker starts; the
+        # next call carries the first task's first block, while the
+        # workers still have most of the run ahead of them.
+        calls: list[bytes] = []
+
+        def stop(block):
+            calls.append(block)
+            if len(calls) > 1:
+                raise StopAtFunc
+
+        with pytest.raises(StopAtFunc):
+            generate_ti_trees(22, None, stop, workers=2, encoder=graph6_line)
+        assert no_children_left()
 
     @pytest.mark.parametrize("n", [1, 2, 8])
     def test_a_single_task_runs_in_this_process(self, monkeypatch, n):
         # Below order 3 there are no phase-2 sequences at all, so no task.
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
+        def no_fork():
+            raise AssertionError("a worker was forked")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         lines: list[bytes] = []
         census = generate_ti_trees(n, None, lines.append, workers=8, encoder=parent_list_line)
         expected = {1: 1, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 1, 8: 0}
@@ -782,8 +836,8 @@ def ti_trees_up_to(n: int, m: int | None = None) -> list[tuple[int, ...]]:
     return trees
 
 
-class StopAtThePool(Exception):
-    """Raised by a stand-in process pool once it has seen its arguments."""
+class StopAtFunc(Exception):
+    """Raised by a ``func`` that stops the run it is passed to."""
 
 
 class TestCodecs:
@@ -832,42 +886,13 @@ class TestCodecs:
         assert segments[True] == len(lines)
         assert segments[False] == sum(len(subtrees[c]) for orders in ends for c in orders)
 
-    @pytest.mark.parametrize("encoder", [graph6_line, sparse6_line, parent_list_line, shape_line])
-    def test_the_codec_a_worker_receives_pickles(self, encoder, monkeypatch):
-        # A spawned worker gets the codec through the pool's pickled
-        # initargs; a forked one never pickles it.
-        seen: list = []
-
-        def pool(*args, initargs, **kwargs):
-            seen.append(initargs[1])
-            raise StopAtThePool
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-        with pytest.raises(StopAtThePool):
-            generate_ti_trees(18, None, lambda block: None, workers=2, encoder=encoder)
-        [codec] = seen
-        copy = pickle.loads(pickle.dumps(codec))
-        assert copy == codec
-        segment, finish, trees = copy
-        assert trees == _build_subtree_pools(18, 17)
-        for parents in ti_trees_up_to(11):
-            assert finish(segment(parents, 0, len(parents))) == encoder(parents)
-
-    def test_a_count_hands_its_workers_no_tree(self, monkeypatch):
-        # A count reads only the key tables, so neither the codec nor any
-        # other argument of the workers carries a pool tree.
-        seen: list = []
-
-        def pool(*args, initargs, **kwargs):
-            seen.append(initargs)
-            raise StopAtThePool
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-        with pytest.raises(StopAtThePool):
-            generate_ti_trees(18, None, workers=2)
-        [(tables, codec)] = seen
-        assert codec is None and tables
-        assert b"WTITree" not in pickle.dumps(seen[0])
+    def test_a_count_hands_its_workers_no_tree(self, scan_log):
+        # A count reads only the key tables: its forked workers scan with no
+        # codec, and so with no pool tree.
+        census = generate_ti_trees(18, None, workers=2)
+        scans = scan_log()
+        assert census == generate_ti_trees(18)
+        assert scans and all(pid != os.getpid() and none for pid, _, none in scans)
 
     def test_the_tuple_codec_pickles(self, monkeypatch):
         # A run without an encoder has a segment and no finish: its
