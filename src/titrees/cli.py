@@ -86,7 +86,7 @@ def _build_parser() -> _Parser:
         # The CPUs this process may run on, which an affinity mask can
         # make fewer than the machine has.
         default=len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
-        help="worker processes for phase 2 (default: available parallelism); verify runs serially",
+        help="worker processes for phase 2 (default: available parallelism)",
     )
     parser.add_argument(
         "--output",
@@ -97,14 +97,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _run_verify(n_max: int, m: int | None, out: BinaryIO) -> int:
+def _run_verify(n_max: int, m: int | None, workers: int, out: BinaryIO) -> int:
     """Compare canonical-form multisets of generator and oracle per order."""
     generated: dict[int, Counter] = {k: Counter() for k in range(1, n_max + 1)}
 
     def collect(parents: tuple[int, ...]) -> None:
         generated[len(parents)][canonical_form(parents)] += 1
 
-    generate_ti_trees(n_max, m, collect)
+    generate_ti_trees(n_max, m, collect, workers=workers)
 
     status = EXIT_OK
     for order in range(1, n_max + 1):
@@ -132,7 +132,7 @@ def _run_verify(n_max: int, m: int | None, out: BinaryIO) -> int:
 
 def _run(args: argparse.Namespace, out: BinaryIO) -> int:
     if args.mode == "verify":
-        return _run_verify(args.n_max, args.m, out)
+        return _run_verify(args.n_max, args.m, args.threads, out)
 
     if args.mode == "count":
         census = generate_ti_trees(args.n_max, args.m, workers=args.threads)

@@ -148,7 +148,9 @@ class OrderPool(NamedTuple):
     ``full`` has bit j set iff tree j can take part in a TI join of order
     k: its offsets are pairwise distinct.  The order must exceed 2c, as
     every phase-2 order does; then every offset is positive (see the
-    module docstring), so no vertex ties or undercuts the root.
+    module docstring), so no vertex ties or undercuts the root.  No
+    ``full`` is 0: each pool holds the path rooted at an end, its offsets
+    growing by k - 2(c - l - 1) > 0 per level l.
     """
 
     table: KeyTable
@@ -225,13 +227,13 @@ def _scan_sequence(k: int, pools: Sequence[OrderPool], clash: Sequence[Sequence[
     """Count (and optionally emit) the TI joins of order k over one sequence.
 
     ``pools`` holds the order-k pool of each part of the sequence, none
-    of them empty, and ``clash[i][p - i - 1]`` the clash rows of part i
-    against part p > i.  Candidates are scanned in mixed-radix tuple
-    order with the last coordinate varying fastest.  The walk carries one
-    forbidden bitset per coordinate not yet chosen: choosing tree j ORs
-    its clash row against each later part into that part's forbidden
-    set, so a tree is reachable exactly when its offsets are disjoint
-    from those of the trees chosen before it.
+    with ``full`` 0 (see ``OrderPool``), and ``clash[i][p - i - 1]`` the
+    clash rows of part i against part p > i.  Candidates are scanned in
+    mixed-radix tuple order with the last coordinate varying fastest.
+    The walk carries one forbidden bitset per coordinate not yet chosen:
+    choosing tree j ORs its clash row against each later part into that
+    part's forbidden set, so a tree is reachable exactly when its
+    offsets are disjoint from those of the trees chosen before it.
 
     Every run stops at the penultimate part, and only this leaf counts or
     emits; the nodes above it record the index they chose.  A count adds,
@@ -315,9 +317,10 @@ def _scan_order(tables: dict[int, KeyTable], k: int, sequences: Sequence[Increas
     uses it, and in that sequence a row is stored only where more than
     one prefix reaches its coordinate, since no later node can read it
     otherwise; storing every row, or keeping all rows to the call's end,
-    took the peak RSS of a count to 36 from 70 to 108 or 130 MB.  The
-    rows are a pure cache: any list of sequences of order k, in any
-    order, gives the same count for each.
+    took the ``wait4`` peak RSS of a count to 36 from 70 to 108 or 130 MB,
+    RSS that ``walk``'s closure cycle inflates: the live (tracemalloc)
+    peak is about 41 MB.  The rows are a pure cache: any list of
+    sequences of order k, in any order, gives the same count for each.
     """
     pools = {s: _order_pool(tables[s], k) for s in {s for seq in sequences for s in seq}}
     emits: dict[int, tuple] = {}
@@ -331,22 +334,20 @@ def _scan_order(tables: dict[int, KeyTable], k: int, sequences: Sequence[Increas
     pairs: dict[tuple[int, int], _ClashRows] = {}
     for i, seq in enumerate(sequences):
         final = {pair for pair in combinations(seq, 2) if last_use[pair] == i}
-        count = 0
-        if all(pools[s].full for s in seq):
-            clash = []
-            prefixes = 1
-            for p, s in enumerate(seq):
-                clash.append([])
-                for later in seq[p + 1 :]:
-                    rows = pairs.get((s, later))
-                    if rows is None:
-                        rows = pairs[s, later] = _ClashRows(pools[s], pools[later])
-                    rows.keep = prefixes > 1 or (s, later) not in final
-                    clash[p].append(rows)
-                prefixes *= pools[s].full.bit_count()
-            count = _scan_sequence(k, [pools[s] for s in seq], clash, emits.get(seq[-1]))
+        clash = []
+        prefixes = 1
+        for p, s in enumerate(seq):
+            clash.append([])
+            for later in seq[p + 1 :]:
+                rows = pairs.get((s, later))
+                if rows is None:
+                    rows = pairs[s, later] = _ClashRows(pools[s], pools[later])
+                rows.keep = prefixes > 1 or (s, later) not in final
+                clash[p].append(rows)
+            prefixes *= pools[s].full.bit_count()
+        count = _scan_sequence(k, [pools[s] for s in seq], clash, emits.get(seq[-1]))
         for pair in final:
-            pairs.pop(pair, None)
+            del pairs[pair]
         yield count
 
 
@@ -452,8 +453,7 @@ def generate_ti_trees(
     up to ``workers`` processes, no more than there are tasks (CPython
     threads would serialize on the interpreter lock), each with a static
     share of the tasks, and passes each task's blocks to ``func`` in task
-    order.  The workers encode their trees, so emitting from them needs
-    an encoder.  This process holds one task's blocks at a time, so a slow
+    order.  This process holds one task's blocks at a time, so a slow
     reader holds back the workers; a task's blocks grow with n.  A worker
     that fails is a RuntimeError, and every exit reaps the workers, after
     killing them on an early one (an exception in ``func``, Ctrl-C).  As
@@ -465,8 +465,6 @@ def generate_ti_trees(
         raise ValueError(f"degree bound must be >= 2, got {m}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers > 1 and func is not None and encoder is None:
-        raise ValueError("emitting from more than one worker needs an encoder")
     m_eff = n - 1 if m is None else m
     census = dict.fromkeys(range(1, n + 1), 0)
     census[1] = 1

@@ -107,13 +107,25 @@ class TestDeterminismAndParallel:
 
 
 class TestVerifyMode:
-    def test_agreement_through_10(self, capsysbinary):
-        status, out = run_cli(capsysbinary, "verify", "10", "--threads", "1")
-        assert status == 0
-        lines = out.decode().splitlines()
-        assert len(lines) == 10
-        assert all("OK" in line for line in lines)
-        assert lines[6] == "order 7: OK (1 trees)"
+    def test_agreement_through_10(self, capsysbinary, monkeypatch):
+        # At two threads the oracle checks the trees of two forked workers.
+        real = os.fork
+        forks: list[int] = []
+
+        def counted():
+            forks.append(os.getpid())
+            return real()
+
+        monkeypatch.setattr(os, "fork", counted)
+        for threads, forked in (("1", 0), ("2", 2)):
+            forks.clear()
+            status, out = run_cli(capsysbinary, "verify", "10", "--threads", threads)
+            assert len(forks) == forked
+            assert status == 0
+            lines = out.decode().splitlines()
+            assert len(lines) == 10
+            assert all("OK" in line for line in lines)
+            assert lines[6] == "order 7: OK (1 trees)"
 
     def test_verify_reports_from_order_1(self, capsysbinary):
         status, out = run_cli(capsysbinary, "verify", "8", "--threads", "1")
@@ -138,7 +150,7 @@ class TestVerifyMode:
         # Force the generator to drop one tree; verify must notice.
         real = cli.generate_ti_trees
 
-        def lossy(n, m, func):
+        def lossy(n, m, func, workers):
             state = {"dropped": False}
 
             def filtered(parents):
@@ -147,7 +159,7 @@ class TestVerifyMode:
                     return
                 func(parents)
 
-            return real(n, m, filtered)
+            return real(n, m, filtered, workers=workers)
 
         monkeypatch.setattr(cli, "generate_ti_trees", lossy)
         status, out = run_cli(capsysbinary, "verify", "8", "--threads", "1")

@@ -9,7 +9,6 @@ import itertools
 import marshal
 import math
 import os
-import pickle
 import random
 import types
 import weakref
@@ -154,8 +153,6 @@ class TestCensus:
             generate_ti_trees(8, 1)
         with pytest.raises(ValueError):
             generate_ti_trees(8, workers=0)
-        with pytest.raises(ValueError):
-            generate_ti_trees(8, None, print, workers=2)
 
 
 class TestAgainstReferencePath:
@@ -349,6 +346,10 @@ class TestKeyTablesAgainstSlicing:
                 ref = _sliced_pool(subtrees[s], k)
                 new = _order_pool(table, k)
                 assert all(b > 0 for b in new.offsets), (s, k)
+                # The path rooted at an end is in every pool, and its
+                # offsets grow with depth, so no pool's ``full`` is 0.
+                path = next(j for j, tree in enumerate(subtrees[s]) if tree.parents[1:] == tuple(range(s - 1)))
+                assert new.full >> path & 1, (s, k)
                 valid = list(_set_bits(new.full))
                 assert [subtrees[s][j] for j in valid] == ref.trees, (s, k)
                 invalid_seen |= len(valid) < len(subtrees[s])
@@ -645,18 +646,26 @@ class TestParallel:
         assert all(type(block) is bytes and block.endswith(b"\n") for block in encoded)
         assert 1 < len(encoded) < sum(census.values())
 
-    @pytest.mark.parametrize("encoder", [graph6_line, sparse6_line, parent_list_line, awkward_line])
+    @pytest.mark.parametrize("encoder", [None, graph6_line, sparse6_line, parent_list_line, awkward_line])
     @pytest.mark.parametrize("m", [None, 3])
-    def test_same_calls_at_every_worker_count(self, encoder, m):
-        # One call per visit of a last coordinate, whichever process
-        # scanned it: the single vertex is a call of its own, no call is
-        # empty, and each holds the whole lines of one or more trees.
-        calls = {}
+    def test_same_calls_at_every_worker_count(self, encoder, m, scan_log):
+        # Whichever process scanned a tree, an encoded run makes one call
+        # per visit of a last coordinate: the single vertex is a call of
+        # its own, no call is empty, and each holds the whole lines of one
+        # or more trees.  A run without an encoder makes one call per tree,
+        # with its parent tuple.
+        calls, censuses = {}, {}
         for workers in (1, 2, 3):
             calls[workers] = []
-            census = generate_ti_trees(18, m, calls[workers].append, workers=workers, encoder=encoder)
-        blocks = calls[1]
+            censuses[workers] = generate_ti_trees(18, m, calls[workers].append, workers=workers, encoder=encoder)
+        blocks, census = calls[1], censuses[1]
         assert calls[2] == blocks and calls[3] == blocks
+        assert censuses[2] == census and censuses[3] == census
+        assert {pid for pid, _, _ in scan_log()} - {os.getpid()}
+        if encoder is None:
+            assert all(type(parents) is tuple for parents in blocks)
+            assert len(blocks) == sum(census.values())
+            return
         assert all(type(block) is bytes and block for block in blocks)
         assert b"".join(blocks) == b"".join(map(encoder, ti_trees_up_to(18, m)))
         assert 1 < len(blocks) < sum(census.values())
@@ -894,10 +903,10 @@ class TestCodecs:
         assert census == generate_ti_trees(18)
         assert scans and all(pid != os.getpid() and none for pid, _, none in scans)
 
-    def test_the_tuple_codec_pickles(self, monkeypatch):
+    def test_tuple_blocks_cross_as_marshal_frames(self, monkeypatch):
         # A run without an encoder has a segment and no finish: its
-        # segments are tuples, picklable like a shipped codec's, and the
-        # sum of a tree's segments is its parent tuple.
+        # segments are tuples, the sum of a tree's segments is its parent
+        # tuple, and a worker's frame of such blocks loads back unchanged.
         seen: list = []
         real = generation._scan_order
 
@@ -908,8 +917,9 @@ class TestCodecs:
         monkeypatch.setattr(generation, "_scan_order", recording)
         trees: list = []
         generate_ti_trees(11, None, trees.append)
-        segment = pickle.loads(pickle.dumps(seen[0]))
-        assert segment == _entries and all(emit is _entries for emit in seen)
+        assert seen and all(segment is _entries for segment in seen)
+        assert marshal.loads(marshal.dumps((len(trees), trees))) == (len(trees), trees)
+        segment = seen[0]
         for parents in trees:
             assert type(parents) is tuple
             assert segment(parents[:2], 0, len(parents)) + segment(parents[2:], 2, len(parents)) == parents
