@@ -365,7 +365,7 @@ def _tasks(tables: dict[int, KeyTable], orders: list[tuple[int, list[IncreasingS
     """
     weights = {k: [prod(tables[s].size for s in seq) for seq in sequences] for k, sequences in orders}
     heaviest = max((w for ws in weights.values() for w in ws), default=0)
-    loads = [0] * workers
+    loads = [0] * min(workers, sum(map(len, weights.values())))
     tasks: list[Task] = []
     for k, sequences in orders:
         load = heaviest + 1  # no chunk of order k yet

@@ -16,6 +16,7 @@ evidence.
 from __future__ import annotations
 
 from collections import deque
+from itertools import cycle, islice
 from typing import Callable, Sequence
 
 __all__ = [
@@ -70,23 +71,18 @@ def _next_rooted_sequence(seq: list[int], p: int | None = None) -> list[int] | N
     q = p - 1
     while seq[q] != seq[p] - 1:
         q -= 1
-    out = list(seq)
-    for i in range(p, len(out)):
-        out[i] = out[i - p + q]
+    out = seq[:p]
+    out += islice(cycle(seq[q:p]), len(seq) - p)
     return out
 
 
 def _split_first_subtree(seq: list[int]) -> tuple[list[int], list[int]]:
     """Split into (first root subtree re-rooted, remainder including root)."""
-    m = len(seq)
-    ones = 0
-    for i, level in enumerate(seq):
-        if level == 1:
-            ones += 1
-            if ones == 2:
-                m = i
-                break
-    left = [seq[i] - 1 for i in range(1, m)]
+    try:
+        m = seq.index(1, 2)
+    except ValueError:  # the root has one child
+        m = len(seq)
+    left = [level - 1 for level in seq[1:m]]
     rest = [0] + seq[m:]
     return left, rest
 
@@ -94,15 +90,8 @@ def _split_first_subtree(seq: list[int]) -> tuple[list[int], list[int]]:
 def _advance_free(seq: list[int]) -> list[int] | None:
     """Return seq if it encodes a free tree, else jump to the next one."""
     left, rest = _split_first_subtree(seq)
-    left_height = max(left)
-    rest_height = max(rest)
-    valid = rest_height >= left_height
-    if valid and rest_height == left_height:
-        if len(left) > len(rest):
-            valid = False
-        elif len(left) == len(rest) and left > rest:
-            valid = False
-    if valid:
+    # The first subtree may not exceed the rest in height, then order, then sequence.
+    if (max(left), len(left), left) <= (max(rest), len(rest), rest):
         return seq
     p = len(left)
     succ = _next_rooted_sequence(seq, p)

@@ -86,7 +86,7 @@ def reference_is_ti_tree(tree: ListTree) -> bool:
 
 
 def reference_offset_mask(tree: ListTree, joined_order: int) -> int | None:
-    """The offset mask of ``titrees.generation._offset_mask``, value by value."""
+    """The offset mask of ``reference_scan._offset_mask``, value by value."""
     c = tree.order
     base = joined_order - 2 * c - tree.root_transmission
     step = joined_order - c

@@ -100,6 +100,22 @@ class TestDeterminismAndParallel:
         _, serial = run_cli(capsysbinary, "-c", "16", "--threads", "1")
         assert parallel == serial
 
+    def test_threads_past_the_tasks_fork_one_worker_per_task(self, capsysbinary, monkeypatch):
+        # -c 10 has three tasks, so the largest --threads forks three workers.
+        _, serial = run_cli(capsysbinary, "-c", "10", "--threads", "1")
+        real = os.fork
+        forks: list[int] = []
+
+        def counted():
+            forks.append(os.getpid())
+            return real()
+
+        monkeypatch.setattr(os, "fork", counted)
+        status, out = run_cli(capsysbinary, "-c", "10", "--threads", str(sys.maxsize))
+        assert status == 0
+        assert out == serial
+        assert forks == [os.getpid()] * 3
+
     def test_default_threads_follow_the_affinity_mask(self, monkeypatch):
         # A process allowed on one CPU of a larger machine gets one worker.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

@@ -10,6 +10,7 @@ import marshal
 import math
 import os
 import random
+import sys
 import types
 import weakref
 
@@ -704,6 +705,18 @@ class TestParallel:
         assert forks == [os.getpid()] * tasks
         assert sorted({worker for _, _, worker in run_tasks[0]}) == list(range(tasks))
         assert no_children_left()
+
+    def test_a_worker_count_past_the_sequences_sizes_nothing(self):
+        # No more workers than sequences can ever get a task, so asking for
+        # sys.maxsize of them allocates no load per worker asked for and
+        # gives every task the worker it gets when each task has its own.
+        n = 20
+        subtrees = _build_subtree_pools(n, n - 1)
+        tables = {s: _key_table(s, subtrees[s]) for s in range(1, len(subtrees))}
+        orders = [(k, _phase2_sequences(k, n - 1)) for k in range(3, n + 1)]
+        tasks = _tasks(tables, orders, sys.maxsize)
+        assert tasks == _tasks(tables, orders, len(tasks))
+        assert [worker for _, _, worker in tasks] == list(range(len(tasks)))
 
     def test_the_parent_holds_one_task_frame_at_a_time(self, monkeypatch, run_tasks):
         # A reader that stalls holds back the workers instead of letting the

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -38,6 +39,15 @@ class TestEnumeration:
             assert type(parents) is tuple and len(parents) == 9
             assert parents[0] == 0
             assert all(0 <= parents[x] < x for x in range(1, 9))
+
+    def test_emission_stream_through_14(self):
+        # Every tuple, in emission order: a reordered stream, or a tree
+        # emitted under other labels, changes the digest where counts,
+        # Prufer sets and pairwise non-isomorphism would not.
+        trees = [t for n in range(1, 15) for t in collect_free_trees(n)]
+        assert len(trees) == sum(FREE_TREE_COUNTS[:14])
+        digest = hashlib.sha256(repr(trees).encode()).hexdigest()
+        assert digest == "31f495c246431e952e01bd378152626ed6380a3a3b11ebc9b8100668825cfef4"
 
     def test_pairwise_nonisomorphic(self):
         for n in range(1, 11):
