@@ -7,10 +7,10 @@ raise ValueError on any other.  Free trees are enumerated by the
 classical level-sequence successor scheme, transmissions are computed by
 one breadth-first search per vertex over neighbour lists rebuilt from
 the tuple, and isomorphism is decided through canonical encodings of the
-tree rooted at its minimum-transmission vertices, one or two adjacent
-ones.  None of the path-sum arithmetic used by the generator appears
-here, which is what makes agreement between the two paths meaningful
-evidence.
+tree rooted at its center, one or two adjacent vertices that three
+breadth-first searches find.  None of the path-sum arithmetic used by
+the generator appears here, which is what makes agreement between the
+two paths meaningful evidence.
 """
 
 from __future__ import annotations
@@ -149,13 +149,10 @@ def _distances(adjacency: list[list[int]], source: int) -> list[int]:
     return dist
 
 
-def _transmissions(adjacency: list[list[int]]) -> list[int]:
-    return [sum(_distances(adjacency, v)) for v in range(len(adjacency))]
-
-
 def transmissions_bfs(parents: Sequence[int]) -> list[int]:
     """Transmission of every vertex, one breadth-first search per vertex."""
-    return _transmissions(_adjacency(parents))
+    adjacency = _adjacency(parents)
+    return [sum(_distances(adjacency, v)) for v in range(len(adjacency))]
 
 
 def is_ti_graph(parents: Sequence[int]) -> bool:
@@ -170,28 +167,29 @@ def is_ti_graph(parents: Sequence[int]) -> bool:
     return True
 
 
-def _rooted_encoding(adjacency: list[list[int]], root: int) -> bytes:
-    """Parenthesized encoding with children sorted by (subtree size, encoding)."""
-
-    def encode(v: int, parent: int) -> bytes:
-        subs = sorted(
-            (encode(w, v) for w in adjacency[v] if w != parent),
-            key=lambda e: (len(e), e),
-        )
-        return b"(" + b"".join(subs) + b")"
-
-    return encode(root, -1)
+def _encoding(adjacency: list[list[int]], v: int, parent: int) -> bytes:
+    """Parenthesized encoding of v's subtree, child encodings in byte order."""
+    children = sorted([_encoding(adjacency, w, v) for w in adjacency[v] if w != parent])
+    return b"(" + b"".join(children) + b")"
 
 
 def canonical_form(parents: Sequence[int]) -> bytes:
     """Byte string equal for two trees iff they are isomorphic.
 
-    The tree is encoded rooted at its minimum-transmission vertices, one
-    or two adjacent ones, taking the smaller encoding when there are two.
-    In a tree these vertices are exactly the centroid (Zelinka, 1968):
-    for an edge vw, T(w) - T(v) = n - 2 * |w's side|.
+    The tree is encoded rooted at its center (Jordan, 1869), the one or
+    two adjacent vertices of least eccentricity, taking the smaller
+    encoding when there are two.  A vertex farthest from any vertex ends
+    a longest path, so a search from vertex 0 finds one end u and a
+    search from u the other end v; every vertex is then farthest from u
+    or from v, and its eccentricity is the larger of its distances to
+    them.
     """
     adjacency = _adjacency(parents)
-    tr = _transmissions(adjacency)
-    low = min(tr)
-    return min(_rooted_encoding(adjacency, v) for v in range(len(adjacency)) if tr[v] == low)
+    dist_0 = _distances(adjacency, 0)
+    u = dist_0.index(max(dist_0))
+    dist_u = _distances(adjacency, u)
+    v = dist_u.index(max(dist_u))
+    dist_v = _distances(adjacency, v)
+    ecc = list(map(max, dist_u, dist_v))
+    low = min(ecc)
+    return min(_encoding(adjacency, w, -1) for w, e in enumerate(ecc) if e == low)

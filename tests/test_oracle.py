@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import enumerate_rooted_trees, parents_from_edges, prufer_to_edges
-from titrees import canonical_form, enumerate_free_trees, is_ti_graph, transmissions_bfs
+import reference_oracle
+from support import chain_edges, enumerate_rooted_trees, parents_from_edges, prufer_to_edges, star_edges
+from titrees import canonical_form, enumerate_free_trees, is_ti_graph, oracle, transmissions_bfs
 from titrees.oracle import MAX_ENUMERATION_ORDER
 
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741]
@@ -111,6 +112,41 @@ class TestCanonicalForm:
             canonical_form(t) for t in collect_free_trees(11) if is_ti_graph(t)
         }
         assert len(forms) == 6
+
+    def test_same_classes_as_the_reference(self):
+        # The byte strings differ from the transmission-rooted reference;
+        # the partition into isomorphism classes may not.
+        trees = [
+            parents_from_edges(n, prufer_to_edges(code))
+            for n in range(3, 8)
+            for code in itertools.product(range(n), repeat=n - 2)
+        ]
+        for n in range(1, 13):
+            trees += collect_free_trees(n)
+        pairs = {(canonical_form(t), reference_oracle.canonical_form(t)) for t in trees}
+        assert len({new for new, _ in pairs}) == len({ref for _, ref in pairs}) == len(pairs)
+
+    @pytest.mark.parametrize(
+        "parents",
+        [
+            (0,),
+            parents_from_edges(20, chain_edges(20)),
+            parents_from_edges(20, star_edges(20)),
+            (0, 0, 0, 2, 0, 4, 5) + tuple(range(6, 19)),  # legs of 1, 2 and 16
+        ],
+        ids=["single", "path", "star", "spider"],
+    )
+    def test_three_searches_at_any_order(self, monkeypatch, parents):
+        calls = []
+        distances = oracle._distances
+
+        def counted(adjacency, source):
+            calls.append(source)
+            return distances(adjacency, source)
+
+        monkeypatch.setattr(oracle, "_distances", counted)
+        canonical_form(parents)
+        assert len(calls) == 3
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), n=st.integers(min_value=2, max_value=10))
