@@ -7,10 +7,10 @@ raise ValueError on any other.  Free trees are enumerated by the
 classical level-sequence successor scheme, transmissions are computed by
 one breadth-first search per vertex over neighbour lists rebuilt from
 the tuple, and isomorphism is decided through canonical encodings of the
-tree rooted at its center, one or two adjacent vertices that three
-breadth-first searches find.  None of the path-sum arithmetic used by
-the generator appears here, which is what makes agreement between the
-two paths meaningful evidence.
+tree rooted at its center, the one or two adjacent vertices left by
+peeling leaves.  None of the path-sum arithmetic used by the generator
+appears here, which is what makes agreement between the two paths
+meaningful evidence.
 """
 
 from __future__ import annotations
@@ -159,7 +159,8 @@ def is_ti_graph(parents: Sequence[int]) -> bool:
     """True iff all vertex transmissions are pairwise distinct."""
     adjacency = _adjacency(parents)
     seen = set()
-    for v in range(len(adjacency)):
+    # Leaves first: two leaves on one neighbour always tie.
+    for v in sorted(range(len(adjacency)), key=list(map(len, adjacency)).__getitem__):
         t = sum(_distances(adjacency, v))
         if t in seen:
             return False
@@ -167,29 +168,28 @@ def is_ti_graph(parents: Sequence[int]) -> bool:
     return True
 
 
-def _encoding(adjacency: list[list[int]], v: int, parent: int) -> bytes:
-    """Parenthesized encoding of v's subtree, child encodings in byte order."""
-    children = sorted([_encoding(adjacency, w, v) for w in adjacency[v] if w != parent])
-    return b"(" + b"".join(children) + b")"
-
-
 def canonical_form(parents: Sequence[int]) -> bytes:
     """Byte string equal for two trees iff they are isomorphic.
 
-    The tree is encoded rooted at its center (Jordan, 1869), the one or
-    two adjacent vertices of least eccentricity, taking the smaller
-    encoding when there are two.  A vertex farthest from any vertex ends
-    a longest path, so a search from vertex 0 finds one end u and a
-    search from u the other end v; every vertex is then farthest from u
-    or from v, and its eccentricity is the larger of its distances to
-    them.
+    Peeling all leaves at once, layer by layer, leaves the tree's center
+    (Jordan, 1869), one vertex or two adjacent ones.  A vertex is encoded
+    when peeled, as its peeled neighbours' encodings in byte order inside
+    parentheses, for its one neighbour left.  The form is the center's
+    encoding, or two in byte order inside brackets, which mark two centers.
     """
     adjacency = _adjacency(parents)
-    dist_0 = _distances(adjacency, 0)
-    u = dist_0.index(max(dist_0))
-    dist_u = _distances(adjacency, u)
-    v = dist_u.index(max(dist_u))
-    dist_v = _distances(adjacency, v)
-    ecc = list(map(max, dist_u, dist_v))
-    low = min(ecc)
-    return min(_encoding(adjacency, w, -1) for w, e in enumerate(ecc) if e == low)
+    below: list[list[bytes]] = [[] for _ in adjacency]
+    leaves = [v for v, neighbors in enumerate(adjacency) if len(neighbors) < 2]
+    remaining = len(adjacency)
+    while remaining > 2:
+        remaining -= len(leaves)
+        inner = []
+        for v in leaves:
+            (w,) = adjacency[v]
+            adjacency[w].remove(v)
+            below[w].append(b"(" + b"".join(sorted(below[v])) + b")")
+            if len(adjacency[w]) == 1:
+                inner.append(w)
+        leaves = inner
+    forms = sorted(b"(" + b"".join(sorted(below[v])) + b")" for v in leaves)
+    return forms[0] if len(forms) == 1 else b"[" + b"".join(forms) + b"]"

@@ -1,13 +1,14 @@
-"""The transmission-rooted canonical form, kept as the reference for
-``titrees.oracle.canonical_form``.
+"""References for ``titrees.oracle``: ``canonical_form`` and
+``is_ti_graph`` as the oracle first computed them.
 
-This is the encoding the oracle used before it rooted at the center: one
+The canonical form is the transmission-rooted encoding: one
 breadth-first search per vertex for the transmissions, the tree rooted
 at its minimum-transmission vertices (one or two adjacent ones, the
 centroid), and children sorted by (length, bytes).  Its byte strings
 differ from the package's; ``tests/test_oracle.py`` checks that the two
-split trees into the same isomorphism classes.  It carries its own
-search so that the two sides share no code.
+split trees into the same isomorphism classes.  ``is_ti_graph`` searches
+the vertices in label order, and must return what the package returns.
+It carries its own search so that the two sides share no code.
 """
 
 from __future__ import annotations
@@ -57,3 +58,16 @@ def canonical_form(parents: Sequence[int]) -> bytes:
     tr = [_transmission(neighbours, v) for v in range(len(parents))]
     low = min(tr)
     return min(_rooted_encoding(neighbours, v) for v in range(len(parents)) if tr[v] == low)
+
+
+def is_ti_graph(parents: Sequence[int]) -> bool:
+    """True iff all vertex transmissions are pairwise distinct, searching
+    the vertices in label order until two transmissions clash."""
+    neighbours = _neighbours(parents)
+    seen = set()
+    for v in range(len(parents)):
+        t = _transmission(neighbours, v)
+        if t in seen:
+            return False
+        seen.add(t)
+    return True

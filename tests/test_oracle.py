@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +19,40 @@ FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 774
 ROOTED_TREE_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
 
 
+PATH_20 = parents_from_edges(20, chain_edges(20))
+STAR_20 = parents_from_edges(20, star_edges(20))
+
+
 def collect_free_trees(n):
     trees = []
     enumerate_free_trees(n, trees.append)
     return trees
+
+
+def differential_trees():
+    """Every labelled tree of orders 3-7 and every free tree through 12."""
+    trees = [
+        parents_from_edges(n, prufer_to_edges(code))
+        for n in range(3, 8)
+        for code in itertools.product(range(n), repeat=n - 2)
+    ]
+    for n in range(1, 13):
+        trees += collect_free_trees(n)
+    return trees
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The source of every breadth-first search the oracle runs."""
+    calls = []
+    distances = oracle._distances
+
+    def counted(adjacency, source):
+        calls.append(source)
+        return distances(adjacency, source)
+
+    monkeypatch.setattr(oracle, "_distances", counted)
+    return calls
 
 
 class TestEnumeration:
@@ -98,6 +129,15 @@ class TestTransmissions:
         assert not is_ti_graph((0, 0, 1))
         assert not is_ti_graph((0, 0))
 
+    def test_same_answers_as_the_reference(self):
+        for t in differential_trees():
+            assert is_ti_graph(t) == reference_oracle.is_ti_graph(t), t
+
+    @pytest.mark.parametrize("parents", [PATH_20, STAR_20], ids=["path", "star"])
+    def test_two_leaves_on_one_neighbour_clash_first(self, searches, parents):
+        assert not is_ti_graph(parents)
+        assert len(searches) == 2
+
 
 class TestCanonicalForm:
     def test_relabelings_agree(self):
@@ -116,13 +156,7 @@ class TestCanonicalForm:
     def test_same_classes_as_the_reference(self):
         # The byte strings differ from the transmission-rooted reference;
         # the partition into isomorphism classes may not.
-        trees = [
-            parents_from_edges(n, prufer_to_edges(code))
-            for n in range(3, 8)
-            for code in itertools.product(range(n), repeat=n - 2)
-        ]
-        for n in range(1, 13):
-            trees += collect_free_trees(n)
+        trees = differential_trees()
         pairs = {(canonical_form(t), reference_oracle.canonical_form(t)) for t in trees}
         assert len({new for new, _ in pairs}) == len({ref for _, ref in pairs}) == len(pairs)
 
@@ -130,23 +164,38 @@ class TestCanonicalForm:
         "parents",
         [
             (0,),
-            parents_from_edges(20, chain_edges(20)),
-            parents_from_edges(20, star_edges(20)),
+            PATH_20,
+            STAR_20,
             (0, 0, 0, 2, 0, 4, 5) + tuple(range(6, 19)),  # legs of 1, 2 and 16
         ],
         ids=["single", "path", "star", "spider"],
     )
-    def test_three_searches_at_any_order(self, monkeypatch, parents):
-        calls = []
-        distances = oracle._distances
-
-        def counted(adjacency, source):
-            calls.append(source)
-            return distances(adjacency, source)
-
-        monkeypatch.setattr(oracle, "_distances", counted)
+    def test_no_searches(self, searches, parents):
         canonical_form(parents)
-        assert len(calls) == 3
+        assert searches == []
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            chain_edges(10_000),
+            chain_edges(5_000) + [(4_999, v) for v in range(5_000, 10_000)],
+            list(enumerate(map(random.Random(1).randrange, range(1, 10_000)), start=1)),
+        ],
+        ids=["path", "broom", "random"],
+    )
+    def test_large_trees_relabelled(self, edges):
+        # The path and the broom are deeper than the default recursion
+        # limit; the random tree peels many same-height subtrees of
+        # different shapes in one layer, so their order must be sorted.
+        # The edges are shuffled too, or siblings keep their order.
+        rng = random.Random(0)
+        perm = list(range(10_000))
+        rng.shuffle(perm)
+        relabeled = [(perm[u], perm[v]) for u, v in edges]
+        rng.shuffle(relabeled)
+        assert canonical_form(parents_from_edges(10_000, edges)) == canonical_form(
+            parents_from_edges(10_000, relabeled)
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), n=st.integers(min_value=2, max_value=10))
