@@ -236,21 +236,25 @@ def _scan_sequence(k: int, pools: Sequence[OrderPool], clash: Sequence[Sequence[
     offsets are disjoint from those of the trees chosen before it.
 
     Every run stops at the penultimate part, and only this leaf counts or
-    emits; the nodes above it record the index they chose.  A count adds,
-    per penultimate tree, the ``bit_count()`` of the last trees it leaves
-    allowed.  A reachable tuple is TI by that alone, so with ``emit`` =
-    (segment, sink, trees, tails) each visit, a choice for every part but
-    the last that leaves some last tree allowed, joins the chosen trees
-    once (their masks are disjoint, so the join is WTI), encodes the join
-    once as ``segment(parents, 0, k)`` and makes one ``sink`` call with
-    ``head + tails[x]`` for each allowed last tree x, in pool order; a
-    join returning None means wrong masks: RuntimeError.  ``tails[x]`` is
-    the segment of last tree x, of order c, relabelled to start at k - c.
+    emits, in one loop over the penultimate trees allowed; the nodes above
+    it record the index they chose.  For each such tree j the leaf takes
+    ``hit``, the allowed last trees that clash with j, and adds the
+    ``bit_count()`` of the rest, ``tail ^ hit``.  A reachable tuple is TI
+    by that alone, so with ``emit`` = (segment, sink, trees, tails) each
+    visit, a choice for every part but the last that leaves some last
+    tree allowed, joins the chosen trees once (their masks are disjoint,
+    so the join is WTI), encodes the join once as ``head =
+    segment(parents, 0, k)`` and makes one ``sink`` call with ``head +
+    tails[x]`` for each x in ``tail ^ hit``, in pool order; a join
+    returning None means wrong masks: RuntimeError.  ``tails[x]`` is the
+    segment of last tree x, of order c, relabelled to start at k - c.
     """
     count = 0
     last = len(pools) - 1
     chosen = [0] * last
 
+    # walk's closure cycle stays on purpose: a cycle-free walk raised the
+    # peak RSS of a count to 36 (ROADMAP item 9, "Ruled out by measurement").
     def walk(i: int, forbidden: list[int]) -> None:
         nonlocal count
         allowed = pools[i].full & ~forbidden[0]
@@ -261,22 +265,18 @@ def _scan_sequence(k: int, pools: Sequence[OrderPool], clash: Sequence[Sequence[
                 walk(i + 1, [rows[j] | hit for rows, hit in later])
             return
         rows, tail = clash[i][0], pools[last].full & ~forbidden[1]
-        if emit is None:
-            size = tail.bit_count()
-            for j in _set_bits(allowed):
-                count += size - (tail & rows[j]).bit_count()
-            return
-        segment, sink, trees, tails = emit
+        size = tail.bit_count()
         for j in _set_bits(allowed):
-            reachable = tail & ~rows[j]
-            if reachable:
+            hit = tail & rows[j]
+            count += size - hit.bit_count()
+            if emit is not None and hit != tail:
+                segment, sink, trees, tails = emit
                 chosen[i] = j
                 joined = join_wti_trees([trees[pool.table.order][x] for pool, x in zip(pools, chosen)])
                 if joined is None:
                     raise RuntimeError(f"offset masks admitted a non-TI join of order {k}")
                 head = segment(joined.parents, 0, k)
-                count += reachable.bit_count()
-                sink(head + tails[x] for x in _set_bits(reachable))
+                sink(head + tails[x] for x in _set_bits(tail ^ hit))
 
     walk(0, [0] * len(pools))
     return count
@@ -317,10 +317,9 @@ def _scan_order(tables: dict[int, KeyTable], k: int, sequences: Sequence[Increas
     uses it, and in that sequence a row is stored only where more than
     one prefix reaches its coordinate, since no later node can read it
     otherwise; storing every row, or keeping all rows to the call's end,
-    took the ``wait4`` peak RSS of a count to 36 from 70 to 108 or 130 MB,
-    RSS that ``walk``'s closure cycle inflates: the live (tracemalloc)
-    peak is about 41 MB.  The rows are a pure cache: any list of
-    sequences of order k, in any order, gives the same count for each.
+    raised the peak memory of a count to 36 (figures in ROADMAP item 9).
+    The rows are a pure cache: any list of sequences of order k, in any
+    order, gives the same count for each.
     """
     pools = {s: _order_pool(tables[s], k) for s in {s for seq in sequences for s in seq}}
     emits: dict[int, tuple] = {}
