@@ -91,7 +91,7 @@ def _advance_free(seq: list[int]) -> list[int] | None:
     """Return seq if it encodes a free tree, else jump to the next one."""
     left, rest = _split_first_subtree(seq)
     # The first subtree may not exceed the rest in height, then order, then sequence.
-    if (max(left), len(left), left) <= (max(rest), len(rest), rest):
+    if (max(left, default=0), len(left), left) <= (max(rest), len(rest), rest):
         return seq
     p = len(left)
     succ = _next_rooted_sequence(seq, p)
@@ -117,9 +117,6 @@ def enumerate_free_trees(n: int, emit: Callable[[tuple[int, ...]], None]) -> Non
     """Emit every free tree of order n exactly once up to isomorphism."""
     if not 1 <= n <= MAX_ENUMERATION_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ENUMERATION_ORDER}, got {n}")
-    if n == 1:
-        emit((0,))
-        return
     # Start from the path rooted at its center, the largest valid sequence.
     layout: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while layout is not None:
@@ -156,10 +153,19 @@ def transmissions_bfs(parents: Sequence[int]) -> list[int]:
 
 
 def is_ti_graph(parents: Sequence[int]) -> bool:
-    """True iff all vertex transmissions are pairwise distinct."""
+    """True iff all vertex transmissions are pairwise distinct.
+
+    Two leaves on one neighbour swap under an automorphism of the tree, so
+    their transmissions tie, and such a tree is rejected with no search.
+    Any other tree is searched vertex by vertex, leaves first, until two
+    transmissions clash.
+    """
     adjacency = _adjacency(parents)
+    supports = [neighbors[0] for neighbors in adjacency if len(neighbors) == 1]
+    if len(set(supports)) < len(supports):
+        return False
     seen = set()
-    # Leaves first: two leaves on one neighbour always tie.
+    # Leaves first: the two ends of a path, or of two equal legs, tie.
     for v in sorted(range(len(adjacency)), key=list(map(len, adjacency)).__getitem__):
         t = sum(_distances(adjacency, v))
         if t in seen:
@@ -175,7 +181,8 @@ def canonical_form(parents: Sequence[int]) -> bytes:
     (Jordan, 1869), one vertex or two adjacent ones.  A vertex is encoded
     when peeled, as its peeled neighbours' encodings in byte order inside
     parentheses, for its one neighbour left.  The form is the center's
-    encoding, or two in byte order inside brackets, which mark two centers.
+    encodings in byte order.  Each encoding is one balanced group of
+    parentheses, so a form shows how many centers it was made from.
     """
     adjacency = _adjacency(parents)
     below: list[list[bytes]] = [[] for _ in adjacency]
@@ -191,5 +198,4 @@ def canonical_form(parents: Sequence[int]) -> bytes:
             if len(adjacency[w]) == 1:
                 inner.append(w)
         leaves = inner
-    forms = sorted(b"(" + b"".join(sorted(below[v])) + b")" for v in leaves)
-    return forms[0] if len(forms) == 1 else b"[" + b"".join(forms) + b"]"
+    return b"".join(sorted(b"(" + b"".join(sorted(below[v])) + b")" for v in leaves))

@@ -133,10 +133,27 @@ class TestTransmissions:
         for t in differential_trees():
             assert is_ti_graph(t) == reference_oracle.is_ti_graph(t), t
 
-    @pytest.mark.parametrize("parents", [PATH_20, STAR_20], ids=["path", "star"])
-    def test_two_leaves_on_one_neighbour_clash_first(self, searches, parents):
-        assert not is_ti_graph(parents)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(min_value=1, max_value=30))
+    def test_same_answer_as_all_transmissions(self, data, n):
+        # Draw how far back x's parent is, not the parent itself: that
+        # shrinks towards the path, not the star, so trees without twin
+        # leaves, and some TI trees among them, come up.
+        parents = (0,) + tuple(x - data.draw(st.integers(1, x)) for x in range(1, n))
+        assert is_ti_graph(parents) == (len(set(transmissions_bfs(parents))) == n)
+
+    def test_the_ends_of_a_path_clash_first(self, searches):
+        assert not is_ti_graph(PATH_20)
         assert len(searches) == 2
+
+    @pytest.mark.parametrize(
+        "parents",
+        [STAR_20, (0,) + tuple(range(18)) + (17,)],  # a path with vertex 19 beside 18
+        ids=["star", "twins-far-from-0"],
+    )
+    def test_twin_leaves_need_no_search(self, searches, parents):
+        assert not is_ti_graph(parents)
+        assert searches == []
 
 
 class TestCanonicalForm:
