@@ -21,7 +21,7 @@ of offsets and a candidate is TI, with the root as its unique minimum,
 exactly when the chosen masks are pairwise disjoint.  That is the one
 proof of TI: emission joins and encodes the chosen prefix once per
 visit of the last coordinate, a tree is one add (and one finish when
-encoded), and each visit is one unit of emission (see ``_sink``).
+encoded), and each visit is one unit of emission (see ``_deliver``).
 
 The disjointness test is bit-sliced, as in the vertical bitsets of
 bit-parallel clique search (San Segundo, Rodriguez-Losada and Jimenez,
@@ -54,11 +54,11 @@ import os
 import signal
 import sys
 from array import array
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations, groupby, islice
 from math import prod
 from operator import itemgetter, or_
-from typing import Any, BinaryIO, Callable, Iterator, NamedTuple, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .enumeration import IncreasingSequence, WTIPool, generate_increasing, generate_wti_trees
 from .formats import _SEGMENTS
@@ -206,48 +206,40 @@ def _set_bits(x: int) -> Iterator[int]:
         x ^= low
 
 
-def _sink(target: Callable[[Any], None], finish: Callable[[Any], bytes] | None) -> Callable[[Iterator[Any]], None]:
-    """The emission of one visit's trees, given as sums of segments: with
-    ``finish``, one call of ``target`` with their lines joined unless that
-    is empty; without, the sums are parent tuples, one call for each."""
-
-    def tuples(trees: Iterator[Any]) -> None:
-        for parents in trees:
+def _deliver(target: Callable[[Any], None], finish: Callable[[Any], bytes] | None, sums: Iterable[Any]) -> None:
+    """Pass one visit's trees, given as sums of segments, to ``target``:
+    without ``finish`` the sums are parent tuples, one call for each; with
+    it, one call with their lines joined, unless that is empty."""
+    if finish is None:
+        for parents in sums:
             target(parents)
-
-    def lines(trees: Iterator[Any]) -> None:
-        block = b"".join(map(finish, trees))
-        if block:
-            target(block)
-
-    return tuples if finish is None else lines
+    elif block := b"".join(map(finish, sums)):
+        target(block)
 
 
-def _scan_sequence(k: int, pools: Sequence[OrderPool], clash: Sequence[Sequence[_ClashRows]], emit: tuple | None) -> int:
-    """Count (and optionally emit) the TI joins of order k over one sequence.
+def _scan_sequence(pools: Sequence[OrderPool], clash: Sequence[Sequence[_ClashRows]], emit: Callable | None) -> int:
+    """Count the TI joins over one sequence of parts, passing each visit to ``emit`` when given.
 
-    ``pools`` holds the order-k pool of each part of the sequence, none
-    with ``full`` 0 (see ``OrderPool``), and ``clash[i][p - i - 1]`` the
-    clash rows of part i against part p > i.  Candidates are scanned in
-    mixed-radix tuple order with the last coordinate varying fastest.
-    The walk carries one forbidden bitset per coordinate not yet chosen:
-    choosing tree j ORs its clash row against each later part into that
-    part's forbidden set, so a tree is reachable exactly when its
-    offsets are disjoint from those of the trees chosen before it.
+    ``pools`` holds the pool of each part of the sequence at one joined
+    order, none with ``full`` 0 (see ``OrderPool``), and
+    ``clash[i][p - i - 1]`` the clash rows of part i against part p > i.
+    Candidates are scanned in mixed-radix tuple order with the last
+    coordinate varying fastest.  The walk carries one forbidden bitset per
+    coordinate not yet chosen: choosing tree j ORs its clash row against
+    each later part into that part's forbidden set, so a tree is reachable
+    exactly when its offsets are disjoint from those of the trees chosen
+    before it, and a reachable tuple is TI by that alone.
 
     Every run stops at the penultimate part, and only this leaf counts or
     emits, in one loop over the penultimate trees allowed; the nodes above
-    it record the index they chose.  For each such tree j the leaf takes
-    ``hit``, the allowed last trees that clash with j, and adds the
-    ``bit_count()`` of the rest, ``tail ^ hit``.  A reachable tuple is TI
-    by that alone, so with ``emit`` = (segment, sink, trees, tails) each
-    visit, a choice for every part but the last that leaves some last
-    tree allowed, joins the chosen trees once (their masks are disjoint,
-    so the join is WTI), encodes the join once as ``head =
-    segment(parents, 0, k)`` and makes one ``sink`` call with ``head +
-    tails[x]`` for each x in ``tail ^ hit``, in pool order; a join
-    returning None means wrong masks: RuntimeError.  ``tails[x]`` is the
-    segment of last tree x, of order c, relabelled to start at k - c.
+    it record in ``chosen`` the index they chose.  For each such tree j
+    the leaf takes ``hit``, the allowed last trees that clash with j, and
+    adds the ``bit_count()`` of the rest, ``tail ^ hit``.  Each visit, a
+    choice for every part but the last that leaves some last tree allowed,
+    is one call ``emit(chosen, tail ^ hit)``: ``chosen`` holds the index
+    chosen in each part but the last and the walk goes on to overwrite
+    it, so ``emit`` reads it during the call, and the mask has bit x set
+    for each last tree x that completes a TI join.
     """
     count = 0
     last = len(pools) - 1
@@ -270,13 +262,8 @@ def _scan_sequence(k: int, pools: Sequence[OrderPool], clash: Sequence[Sequence[
             hit = tail & rows[j]
             count += size - hit.bit_count()
             if emit is not None and hit != tail:
-                segment, sink, trees, tails = emit
                 chosen[i] = j
-                joined = join_wti_trees([trees[pool.table.order][x] for pool, x in zip(pools, chosen)])
-                if joined is None:
-                    raise RuntimeError(f"offset masks admitted a non-TI join of order {k}")
-                head = segment(joined.parents, 0, k)
-                sink(head + tails[x] for x in _set_bits(tail ^ hit))
+                emit(chosen, tail ^ hit)
 
     walk(0, [0] * len(pools))
     return count
@@ -311,24 +298,36 @@ def _scan_order(tables: dict[int, KeyTable], k: int, sequences: Sequence[Increas
     """Yield the count of TI joins of order k of each sequence; with ``codec``, emit them to ``target`` first.
 
     The sequences are scanned in the given order and share the order-k
-    pools, the tails of the orders that end them (see ``_scan_sequence``)
-    and the clash rows of each pair of parts; all of it is local to the
-    call.  The rows of a pair are dropped after the last sequence that
-    uses it, and in that sequence a row is stored only where more than
-    one prefix reaches its coordinate, since no later node can read it
-    otherwise; storing every row, or keeping all rows to the call's end,
-    raised the peak memory of a count to 36 (figures in ROADMAP item 9).
-    The rows are a pure cache: any list of sequences of order k, in any
-    order, gives the same count for each.
+    pools, the tails of the orders that end them and the clash rows of
+    each pair of parts; all of it is local to the call.  The rows of a
+    pair are dropped after the last sequence that uses it, and in that
+    sequence a row is stored only where more than one prefix reaches its
+    coordinate, since no later node can read it otherwise; storing every
+    row, or keeping all rows to the call's end, raised the peak memory of
+    a count to 36 (figures in ROADMAP item 9).  The rows are a pure cache:
+    any list of sequences of order k, in any order, gives the same count
+    for each.
+
+    With ``codec`` = (segment, finish, trees), each sequence's scan gets
+    ``emit`` bound to it.  A visit's call joins the chosen trees once
+    (their masks are disjoint, so the join is WTI; a join returning None
+    means wrong masks: RuntimeError), encodes the join once as ``head =
+    segment(parents, 0, k)`` and hands ``head + tails[x]`` for each set
+    bit x of the mask, in pool order, to ``_deliver``.  ``tails[x]`` is
+    the segment of last tree x, of order c, relabelled to start at k - c.
     """
     pools = {s: _order_pool(tables[s], k) for s in {s for seq in sequences for s in seq}}
-    emits: dict[int, tuple] = {}
     if codec is not None:
         segment, finish, trees = codec
-        sink = _sink(target, finish)
-        for c in {seq[-1] for seq in sequences}:
-            tails = [segment((0, *map((k - c).__add__, t.parents[1:])), k - c, k) for t in trees[c]]
-            emits[c] = segment, sink, trees, tails
+        tails = {c: [segment((0, *map((k - c).__add__, t.parents[1:])), k - c, k) for t in trees[c]]
+                 for c in {seq[-1] for seq in sequences}}
+
+        def emit(seq: IncreasingSequence, chosen: list[int], mask: int) -> None:
+            joined = join_wti_trees([trees[s][x] for s, x in zip(seq, chosen)])
+            if joined is None:
+                raise RuntimeError(f"offset masks admitted a non-TI join of order {k}")
+            head, ends = segment(joined.parents, 0, k), tails[seq[-1]]
+            _deliver(target, finish, (head + ends[x] for x in _set_bits(mask)))
     last_use = {pair: i for i, seq in enumerate(sequences) for pair in combinations(seq, 2)}
     pairs: dict[tuple[int, int], _ClashRows] = {}
     for i, seq in enumerate(sequences):
@@ -344,7 +343,7 @@ def _scan_order(tables: dict[int, KeyTable], k: int, sequences: Sequence[Increas
                 rows.keep = prefixes > 1 or (s, later) not in final
                 clash[p].append(rows)
             prefixes *= pools[s].full.bit_count()
-        count = _scan_sequence(k, [pools[s] for s in seq], clash, emits.get(seq[-1]))
+        count = _scan_sequence([pools[s] for s in seq], clash, None if codec is None else partial(emit, seq))
         for pair in final:
             del pairs[pair]
         yield count
@@ -470,7 +469,7 @@ def generate_ti_trees(
     # A shipped encoder, the very function, encodes by segment; any other per tree, and none leaves tuples.
     segment, finish = next((pair for key, pair in _SEGMENTS.items() if key is encoder), (_entries, encoder))
     if func is not None:
-        _sink(func, finish)([segment((0,), 0, 1)])  # the single vertex
+        _deliver(func, finish, [segment((0,), 0, 1)])  # the single vertex
     subtrees = _build_subtree_pools(n, m_eff)
     # Keyed here, before any worker starts, so no worker keys a pool again.
     tables = {s: _key_table(s, subtrees[s]) for s in range(1, len(subtrees))}

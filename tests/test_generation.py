@@ -302,18 +302,18 @@ class TestBitSlicedScanAgainstReference:
 
         real_scan = generation._scan_sequence
 
-        def watched_scan(k, pools, clash, emit):
+        def watched_scan(pools, clash, emit):
             i = sequences.index(tuple(pool.table.order for pool in pools))
             later = {pair for seq in sequences[i + 1 :] for pair in itertools.combinations(seq, 2)}
             gc.collect()  # a scan's walk closure is a reference cycle
             alive = {rows.pair for rows in (ref() for ref in live.values()) if rows is not None}
-            assert alive <= later | set(itertools.combinations(sequences[i], 2)), (k, i)
+            assert alive <= later | set(itertools.combinations(sequences[i], 2)), i
             scanning.clear()
             prefixes = 1
             for pool, part in zip(pools, clash):
                 scanning.update((id(rows), (rows.pair not in later, prefixes)) for rows in part)
                 prefixes *= pool.full.bit_count()
-            return real_scan(k, pools, clash, emit)
+            return real_scan(pools, clash, emit)
 
         n = 24
         census = generate_ti_trees(n)
@@ -484,6 +484,33 @@ class TestEmission:
             census = generate_ti_trees(24, m, calls.append, encoder=graph6_line)
             assert 0 < joins["join"] == len(calls) - 1 < sum(census.values()) - 1, m
 
+    @pytest.mark.parametrize("m", [None, 3])
+    def test_each_sequence_emits_exactly_the_trees_its_scan_counts(self, m, monkeypatch):
+        # The scan counts a visit's trees and hands their mask to the
+        # sequence's emitter; the two must agree sequence by sequence.
+        real_scan = generation._scan_sequence
+        scans: list[tuple[int, int]] = []  # (count, trees passed to emit)
+
+        def watched_scan(pools, clash, emit):
+            emitted = 0
+
+            def counted(chosen, mask):
+                nonlocal emitted
+                emitted += mask.bit_count()
+                emit(chosen, mask)
+
+            count = real_scan(pools, clash, counted)
+            scans.append((count, emitted))
+            return count
+
+        monkeypatch.setattr(generation, "_scan_sequence", watched_scan)
+        n = 20
+        trees: list[tuple[int, ...]] = []
+        census = generate_ti_trees(n, m, trees.append)
+        assert len(scans) == sum(len(_phase2_sequences(k, n - 1 if m is None else m)) for k in range(3, n + 1))
+        assert all(count == emitted for count, emitted in scans)
+        assert sum(count for count, _ in scans) == len(trees) - 1 == sum(census.values()) - 1 > 0
+
     def test_non_ti_join_is_an_error_not_an_assert(self, monkeypatch):
         # Only the phase-2 joins: phase 1 calls its own binding.
         monkeypatch.setattr(generation, "join_wti_trees", lambda children: None)
@@ -646,6 +673,18 @@ class TestParallel:
         assert encoded[0] == parent_list_line((0,))
         assert all(type(block) is bytes and block.endswith(b"\n") for block in encoded)
         assert 1 < len(encoded) < sum(census.values())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_empty_encoding_of_the_single_vertex_is_not_a_call(self, workers):
+        # The single vertex is delivered before the scan, through the
+        # same empty-block guard as every visit.
+        def encoder(parents):
+            return b"" if parents == (0,) else graph6_line(parents)
+
+        calls: list[bytes] = []
+        generate_ti_trees(14, None, calls.append, workers=workers, encoder=encoder)
+        assert calls and all(type(block) is bytes and block for block in calls)
+        assert b"".join(calls) == b"".join(map(encoder, ti_trees_up_to(14)))
 
     @pytest.mark.parametrize("encoder", [None, graph6_line, sparse6_line, parent_list_line, awkward_line])
     @pytest.mark.parametrize("m", [None, 3])
@@ -813,7 +852,7 @@ class TestParallel:
     def test_a_failing_worker_is_an_error_and_leaves_no_process(self, monkeypatch, capfd):
         # A worker prints its traceback and exits nonzero; the parent reads
         # a short frame, and raises once it has killed and reaped them all.
-        def broken(k, pools, clash, emit):
+        def broken(pools, clash, emit):
             raise ZeroDivisionError("broken scan")
 
         monkeypatch.setattr(generation, "_scan_sequence", broken)
