@@ -55,7 +55,7 @@ import signal
 import sys
 from array import array
 from functools import partial, reduce
-from itertools import combinations, groupby, islice
+from itertools import groupby, islice
 from math import prod
 from operator import itemgetter, or_
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -245,8 +245,8 @@ def _scan_sequence(pools: Sequence[OrderPool], clash: Sequence[Sequence[_ClashRo
     last = len(pools) - 1
     chosen = [0] * last
 
-    # walk's closure cycle stays on purpose: a cycle-free walk raised the
-    # peak RSS of a count to 36 (ROADMAP item 9, "Ruled out by measurement").
+    # walk's closure cycle stays on purpose: breaking it raised the peak RSS
+    # of `titrees -c 36 --threads 1` from 66.5-66.7 MB to 83.1-83.7 MB (ROADMAP item 9).
     def walk(i: int, forbidden: list[int]) -> None:
         nonlocal count
         allowed = pools[i].full & ~forbidden[0]
@@ -299,14 +299,17 @@ def _scan_order(tables: dict[int, KeyTable], k: int, sequences: Sequence[Increas
 
     The sequences are scanned in the given order and share the order-k
     pools, the tails of the orders that end them and the clash rows of
-    each pair of parts; all of it is local to the call.  The rows of a
-    pair are dropped after the last sequence that uses it, and in that
-    sequence a row is stored only where more than one prefix reaches its
-    coordinate, since no later node can read it otherwise; storing every
-    row, or keeping all rows to the call's end, raised the peak memory of
-    a count to 36 (figures in ROADMAP item 9).  The rows are a pure cache:
-    any list of sequences of order k, in any order, gives the same count
-    for each.
+    each pair of parts; all of it is local to the call, so it lives for
+    one order, or for one worker's share of it.  A row is stored when its
+    earlier part is the sequence's first, or when more than one prefix
+    reaches that part.  Sequences come in lexicographic order, so those
+    that share a first part follow one another and read its rows; a later
+    part's row is read twice in one sequence only when more than one
+    prefix reaches the part, and is rebuilt otherwise.  Storing every row
+    raised the peak memory of a count, and narrower rules rebuilt enough
+    rows to slow it (figures in ROADMAP item 9).  The rows are a pure
+    cache: any list of sequences of order k, in any order, gives the same
+    count for each.
 
     With ``codec`` = (segment, finish, trees), each sequence's scan gets
     ``emit`` bound to it.  A visit's call joins the chosen trees once
@@ -328,10 +331,8 @@ def _scan_order(tables: dict[int, KeyTable], k: int, sequences: Sequence[Increas
                 raise RuntimeError(f"offset masks admitted a non-TI join of order {k}")
             head, ends = segment(joined.parents, 0, k), tails[seq[-1]]
             _deliver(target, finish, (head + ends[x] for x in _set_bits(mask)))
-    last_use = {pair: i for i, seq in enumerate(sequences) for pair in combinations(seq, 2)}
     pairs: dict[tuple[int, int], _ClashRows] = {}
-    for i, seq in enumerate(sequences):
-        final = {pair for pair in combinations(seq, 2) if last_use[pair] == i}
+    for seq in sequences:
         clash = []
         prefixes = 1
         for p, s in enumerate(seq):
@@ -340,13 +341,10 @@ def _scan_order(tables: dict[int, KeyTable], k: int, sequences: Sequence[Increas
                 rows = pairs.get((s, later))
                 if rows is None:
                     rows = pairs[s, later] = _ClashRows(pools[s], pools[later])
-                rows.keep = prefixes > 1 or (s, later) not in final
+                rows.keep = p == 0 or prefixes > 1
                 clash[p].append(rows)
             prefixes *= pools[s].full.bit_count()
-        count = _scan_sequence([pools[s] for s in seq], clash, None if codec is None else partial(emit, seq))
-        for pair in final:
-            del pairs[pair]
-        yield count
+        yield _scan_sequence([pools[s] for s in seq], clash, None if codec is None else partial(emit, seq))
 
 
 def _tasks(tables: dict[int, KeyTable], orders: list[tuple[int, list[IncreasingSequence]]], workers: int) -> list[Task]:

@@ -278,40 +278,40 @@ class TestBitSlicedScanAgainstReference:
             shared += sum(uses[pair] > 1 for pair in built)
         assert shared > 0
 
-    def test_rows_are_kept_only_while_a_later_lookup_may_read_them(self, monkeypatch):
-        # The retention rule changes no count, but it sets peak memory: a
-        # pair's rows are dropped after the last sequence that uses the
-        # pair, and in that sequence a row is stored only when more than
-        # one choice of the earlier parts' valid trees (a prefix) reaches
-        # the pair's earlier part, since otherwise no later lookup can read
-        # it.  Checked at every scanned sequence of a count to 24: which
-        # rows are alive, and in which sequence each stored row was stored.
-        live: dict[int, weakref.ref] = {}  # dicts are unhashable, so no WeakSet
-        scanning: dict[int, tuple[bool, int]] = {}  # id(rows) -> (final, prefixes)
-        stores: set[tuple[bool, int]] = set()  # (final, prefixes) of every stored row
+    def test_rows_are_stored_for_the_first_part_and_where_two_prefixes_reach(self, monkeypatch):
+        # The retention rule changes no count, but it sets peak memory and
+        # how many rows are rebuilt.  A row is stored when its earlier part
+        # is the sequence's first, or when more than one choice of the
+        # earlier parts' valid trees (a prefix) reaches that part.  Stored
+        # rows live for one _scan_order call: none is computed again in
+        # it, and none outlives it.  Checked at every order of a count to 24.
+        live: list[weakref.ref] = []  # dicts are unhashable, so no WeakSet
+        scanning: dict[int, tuple[int, int]] = {}  # id(rows) -> (part, prefixes) in the scanned sequence
+        stores: set[tuple[int, int]] = set()  # (part, prefixes) of every stored row
+        stored: set[tuple[tuple[int, int], int]] = set()  # (pair, j) of the rows the call stored
 
         class WatchedRows(generation._ClashRows):
             def __init__(self, earlier, later):
                 super().__init__(earlier, later)
                 self.pair = earlier.table.order, later.table.order
-                live[id(self)] = weakref.ref(self)
+                live.append(weakref.ref(self))
+
+            def __missing__(self, j):
+                assert (self.pair, j) not in stored, (self.pair, j)
+                return super().__missing__(j)
 
             def __setitem__(self, j, row):
                 stores.add(scanning[id(self)])
+                stored.add((self.pair, j))
                 super().__setitem__(j, row)
 
         real_scan = generation._scan_sequence
 
         def watched_scan(pools, clash, emit):
-            i = sequences.index(tuple(pool.table.order for pool in pools))
-            later = {pair for seq in sequences[i + 1 :] for pair in itertools.combinations(seq, 2)}
-            gc.collect()  # a scan's walk closure is a reference cycle
-            alive = {rows.pair for rows in (ref() for ref in live.values()) if rows is not None}
-            assert alive <= later | set(itertools.combinations(sequences[i], 2)), i
             scanning.clear()
             prefixes = 1
-            for pool, part in zip(pools, clash):
-                scanning.update((id(rows), (rows.pair not in later, prefixes)) for rows in part)
+            for p, (pool, part) in enumerate(zip(pools, clash)):
+                scanning.update((id(rows), (p, prefixes)) for rows in part)
                 prefixes *= pool.full.bit_count()
             return real_scan(pools, clash, emit)
 
@@ -324,12 +324,15 @@ class TestBitSlicedScanAgainstReference:
         gc.freeze()  # so that each collection walks only what the scan made
         try:
             for k in range(3, n + 1):
-                sequences = _phase2_sequences(k, n - 1)
-                assert sum(_scan_order(tables, k, sequences, None, None)) == census[k], k
+                live.clear()
+                stored.clear()
+                assert sum(_scan_order(tables, k, _phase2_sequences(k, n - 1), None, None)) == census[k], k
+                gc.collect()  # a scan's walk closure is a reference cycle
+                assert all(ref() is None for ref in live), k
         finally:
             gc.unfreeze()
-        assert not any(final and prefixes == 1 for final, prefixes in stores)
-        assert any(final for final, _ in stores) and any(not final for final, _ in stores)
+        assert all(p == 0 or prefixes > 1 for p, prefixes in stores)
+        assert any(p == 0 for p, _ in stores) and any(prefixes > 1 for _, prefixes in stores)
 
 
 class TestKeyTablesAgainstSlicing:
