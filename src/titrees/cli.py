@@ -99,31 +99,24 @@ def _build_parser() -> _Parser:
 
 def _run_verify(n_max: int, m: int | None, workers: int, out: BinaryIO) -> int:
     """Compare canonical-form multisets of generator and oracle per order."""
-    generated: dict[int, Counter] = {k: Counter() for k in range(1, n_max + 1)}
-
-    def collect(parents: tuple[int, ...]) -> None:
-        generated[len(parents)][canonical_form(parents)] += 1
-
-    generate_ti_trees(n_max, m, collect, workers=workers)
+    trees: list[tuple[int, ...]] = []
+    generate_ti_trees(n_max, m, trees.append, workers=workers)
 
     status = EXIT_OK
     for order in range(1, n_max + 1):
-        expected: Counter = Counter()
-
-        def check(parents: tuple[int, ...]) -> None:
-            # A vertex's degree is its child count, plus one for its
-            # parent unless it is the root; leaves never exceed m >= 2.
-            if m is not None and any(k + (v > 0) > m for v, k in Counter(parents[1:]).items()):
-                return
-            if is_ti_graph(parents):
-                expected[canonical_form(parents)] += 1
-
-        enumerate_free_trees(order, check)
-        if generated[order] == expected:
+        generated = Counter(canonical_form(parents) for parents in trees if len(parents) == order)
+        # A vertex's degree is its child count, plus one for its parent
+        # unless it is the root; leaves never exceed m >= 2.
+        expected = Counter(
+            canonical_form(parents)
+            for parents in enumerate_free_trees(order)
+            if (m is None or all(k + (v > 0) <= m for v, k in Counter(parents[1:]).items())) and is_ti_graph(parents)
+        )
+        if generated == expected:
             out.write(f"order {order}: OK ({sum(expected.values())} trees)\n".encode())
         else:
             out.write(
-                f"order {order}: MISMATCH (generator {sum(generated[order].values())}, "
+                f"order {order}: MISMATCH (generator {sum(generated.values())}, "
                 f"oracle {sum(expected.values())})\n".encode()
             )
             status = EXIT_VERIFY_MISMATCH

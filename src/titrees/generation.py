@@ -299,17 +299,21 @@ def _scan_order(tables: dict[int, KeyTable], k: int, sequences: Sequence[Increas
 
     The sequences are scanned in the given order and share the order-k
     pools, the tails of the orders that end them and the clash rows of
-    each pair of parts; all of it is local to the call, so it lives for
-    one order, or for one worker's share of it.  A row is stored when its
-    earlier part is the sequence's first, or when more than one prefix
-    reaches that part.  Sequences come in lexicographic order, so those
-    that share a first part follow one another and read its rows; a later
-    part's row is read twice in one sequence only when more than one
-    prefix reaches the part, and is rebuilt otherwise.  Storing every row
-    raised the peak memory of a count, and narrower rules rebuilt enough
-    rows to slow it (figures in ROADMAP item 9).  The rows are a pure
-    cache: any list of sequences of order k, in any order, gives the same
-    count for each.
+    each pair of parts, all local to the call: one order, or one worker's
+    share of it.  A row is stored when its earlier part is the sequence's
+    first, or when more than one prefix reaches that part.  Sequences
+    come in lexicographic order, so those that share a first part follow
+    one another and read its rows; a later part's row is read twice in
+    one sequence only when more than one prefix reaches the part, and is
+    rebuilt otherwise.  A pair's rows are dropped when a sequence's first
+    part exceeds the pair's earlier part: every part of an increasing
+    sequence is at least its first, and first parts never decrease in a
+    lexicographic list or in a worker's share, a subsequence of one, so
+    no later sequence reads them.  Storing every row raised the peak
+    memory of a count, and narrower rules rebuilt enough rows to slow it
+    (figures in ROADMAP item 9).  The rows are a pure cache: any list of
+    sequences of order k, in any order, gives the same count for each,
+    and out of order a dropped row is only rebuilt.
 
     With ``codec`` = (segment, finish, trees), each sequence's scan gets
     ``emit`` bound to it.  A visit's call joins the chosen trees once
@@ -332,7 +336,10 @@ def _scan_order(tables: dict[int, KeyTable], k: int, sequences: Sequence[Increas
             head, ends = segment(joined.parents, 0, k), tails[seq[-1]]
             _deliver(target, finish, (head + ends[x] for x in _set_bits(mask)))
     pairs: dict[tuple[int, int], _ClashRows] = {}
+    first = 0
     for seq in sequences:
+        if seq[0] != first:
+            first, pairs = seq[0], {pair: rows for pair, rows in pairs.items() if pair[0] >= seq[0]}
         clash = []
         prefixes = 1
         for p, s in enumerate(seq):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import cycle, islice
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "MAX_ENUMERATION_ORDER",
@@ -113,8 +113,8 @@ def _tree_from_levels(seq: list[int]) -> tuple[int, ...]:
     return tuple(parents)
 
 
-def enumerate_free_trees(n: int, emit: Callable[[tuple[int, ...]], None]) -> None:
-    """Emit every free tree of order n exactly once up to isomorphism."""
+def enumerate_free_trees(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield every free tree of order n exactly once up to isomorphism."""
     if not 1 <= n <= MAX_ENUMERATION_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ENUMERATION_ORDER}, got {n}")
     # Start from the path rooted at its center, the largest valid sequence.
@@ -122,7 +122,7 @@ def enumerate_free_trees(n: int, emit: Callable[[tuple[int, ...]], None]) -> Non
     while layout is not None:
         layout = _advance_free(layout)
         if layout is not None:
-            emit(_tree_from_levels(layout))
+            yield _tree_from_levels(layout)
             layout = _next_rooted_sequence(layout)
 
 

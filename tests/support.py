@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import or_
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 from titrees.oracle import MAX_ENUMERATION_ORDER, _next_rooted_sequence, _tree_from_levels
 from titrees.wti import WTITree
@@ -271,13 +271,13 @@ def validate_wti_tree(tree: WTITree) -> None:
 # ----------------------------------------------------------------------
 
 
-def enumerate_rooted_trees(n: int, emit: Callable[[Parents], None]) -> None:
-    """Emit every rooted tree of order n once, rooted at vertex 0."""
+def enumerate_rooted_trees(n: int) -> Iterator[Parents]:
+    """Yield every rooted tree of order n once, rooted at vertex 0."""
     if not 1 <= n <= MAX_ENUMERATION_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ENUMERATION_ORDER}, got {n}")
     layout: list[int] | None = list(range(n))
     while layout is not None:
-        emit(_tree_from_levels(layout))
+        yield _tree_from_levels(layout)
         layout = _next_rooted_sequence(layout)
 
 

@@ -122,21 +122,13 @@ def test_criterion_5_oracle_self_check():
     path agrees with the level-sequence path through 8."""
     counts_ok = True
     for n, expected in enumerate(FREE_TREE_COUNTS_TO_18, start=1):
-        got = 0
-
-        def bump(tree):
-            nonlocal got
-            got += 1
-
-        enumerate_free_trees(n, bump)
-        if got != expected:
+        if sum(1 for _ in enumerate_free_trees(n)) != expected:
             counts_ok = False
             break
 
     prufer_ok = True
     for n in range(3, 9):
-        via_levels: set[bytes] = set()
-        enumerate_free_trees(n, lambda t: via_levels.add(canonical_form(t)))
+        via_levels = set(map(canonical_form, enumerate_free_trees(n)))
         via_prufer = {
             canonical_form(parents_from_edges(n, prufer_to_edges(code)))
             for code in itertools.product(range(n), repeat=n - 2)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from conftest import ordered_encoding
 from support import (
-    Parents,
     enumerate_rooted_trees,
     levels_from_parents,
     subtree_sizes_from_parents,
@@ -145,26 +144,22 @@ class TestGenerateWtiTrees:
         levels have distinct BFS transmissions, for every order <= 12."""
         for k in range(1, 13):
             expected = set()
-
-            def consider(parents: Parents) -> None:
-                n = len(parents)
+            for parents in enumerate_rooted_trees(k):
                 depth = levels_from_parents(parents)
                 size = subtree_sizes_from_parents(parents)
-                children: list[list[int]] = [[] for _ in range(n)]
-                for v in range(1, n):
+                children: list[list[int]] = [[] for _ in range(k)]
+                for v in range(1, k):
                     children[parents[v]].append(v)
                 # Children of every vertex need pairwise distinct subtree
                 # orders for the tree to have an unbalanced arrangement.
-                for v in range(n):
-                    sizes = [size[c] for c in children[v]]
-                    if len(set(sizes)) != len(sizes):
-                        return
+                if any(len({size[c] for c in kids}) != len(kids) for kids in children):
+                    continue
                 tr = transmissions_bfs(parents)
                 by_level: dict[int, list[int]] = {}
-                for v in range(n):
+                for v in range(k):
                     by_level.setdefault(depth[v], []).append(tr[v])
                 if any(len(set(vals)) != len(vals) for vals in by_level.values()):
-                    return
+                    continue
 
                 def encode(v: int) -> bytes:
                     subs = sorted(children[v], key=lambda c: size[c])
@@ -172,6 +167,5 @@ class TestGenerateWtiTrees:
 
                 expected.add(encode(0))
 
-            enumerate_rooted_trees(k, consider)
             got = {ordered_encoding(t.parents) for t in pool12[k]}
             assert got == expected, f"pool mismatch at order {k}"

@@ -237,9 +237,7 @@ def split_trees():
     trees at the orders where sparse6's field widens (2^j, 2^j + 1) and
     graph6's order header escapes (63)."""
     for n in range(1, 11):
-        trees: list = []
-        enumerate_free_trees(n, trees.append)
-        yield from trees
+        yield from enumerate_free_trees(n)
     rng = random.Random(2025)
     for n in (15, 16, 17, 31, 32, 33, 62, 63, 64, 65, 300):
         yield (0,) * n

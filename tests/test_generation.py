@@ -306,8 +306,16 @@ class TestBitSlicedScanAgainstReference:
                 super().__setitem__(j, row)
 
         real_scan = generation._scan_sequence
+        firsts: list[int] = []  # the first part of each sequence scanned in the call
 
         def watched_scan(pools, clash, emit):
+            # When the first part changes, no row of a pair whose earlier
+            # part is below it may still be alive.
+            first = pools[0].table.order
+            if firsts and firsts[-1] != first:
+                gc.collect()
+                assert all((rows := ref()) is None or rows.pair[0] >= first for ref in live), first
+            firsts.append(first)
             scanning.clear()
             prefixes = 1
             for p, (pool, part) in enumerate(zip(pools, clash)):
@@ -326,6 +334,7 @@ class TestBitSlicedScanAgainstReference:
             for k in range(3, n + 1):
                 live.clear()
                 stored.clear()
+                firsts.clear()
                 assert sum(_scan_order(tables, k, _phase2_sequences(k, n - 1), None, None)) == census[k], k
                 gc.collect()  # a scan's walk closure is a reference cycle
                 assert all(ref() is None for ref in live), k

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -24,9 +25,7 @@ STAR_20 = parents_from_edges(20, star_edges(20))
 
 
 def collect_free_trees(n):
-    trees = []
-    enumerate_free_trees(n, trees.append)
-    return trees
+    return list(enumerate_free_trees(n))
 
 
 def differential_trees():
@@ -62,9 +61,7 @@ class TestEnumeration:
 
     def test_rooted_tree_counts(self):
         for n, expected in enumerate(ROOTED_TREE_COUNTS, start=1):
-            trees = []
-            enumerate_rooted_trees(n, trees.append)
-            assert len(trees) == expected, f"order {n}"
+            assert sum(1 for _ in enumerate_rooted_trees(n)) == expected, f"order {n}"
 
     def test_emitted_trees_are_trees(self):
         for parents in collect_free_trees(9):
@@ -86,13 +83,23 @@ class TestEnumeration:
             forms = [canonical_form(t) for t in collect_free_trees(n)]
             assert len(forms) == len(set(forms))
 
+    def test_the_first_tree_comes_without_the_rest(self):
+        # The path is the first free tree of every order; at the largest
+        # order it comes without walking the other 5,623,755.
+        parents = next(enumerate_free_trees(MAX_ENUMERATION_ORDER))
+        assert len(parents) == MAX_ENUMERATION_ORDER
+        assert parents[0] == 0 and all(0 <= parents[x] < x for x in range(1, len(parents)))
+        degrees = Counter(parents[1:]) + Counter(range(1, len(parents)))
+        assert max(degrees.values()) == 2
+
     def test_guard_rejects_large_orders(self):
+        # The order is checked when the iterator is first advanced.
         with pytest.raises(ValueError):
-            enumerate_free_trees(MAX_ENUMERATION_ORDER + 1, lambda t: None)
+            next(enumerate_free_trees(MAX_ENUMERATION_ORDER + 1))
         with pytest.raises(ValueError):
-            enumerate_free_trees(0, lambda t: None)
+            next(enumerate_free_trees(0))
         with pytest.raises(ValueError):
-            enumerate_rooted_trees(0, lambda t: None)
+            next(enumerate_rooted_trees(0))
 
 
 class TestPruferPath:
