@@ -224,48 +224,45 @@ def _scan_sequence(pools: Sequence[OrderPool], clash: Sequence[Sequence[_ClashRo
     order, none with ``full`` 0 (see ``OrderPool``), and
     ``clash[i][p - i - 1]`` the clash rows of part i against part p > i.
     Candidates are scanned in mixed-radix tuple order with the last
-    coordinate varying fastest.  The walk carries one forbidden bitset per
+    coordinate varying fastest.  The scan carries one forbidden bitset per
     coordinate not yet chosen: choosing tree j ORs its clash row against
     each later part into that part's forbidden set, so a tree is reachable
     exactly when its offsets are disjoint from those of the trees chosen
     before it, and a reachable tuple is TI by that alone.
 
-    Every run stops at the penultimate part, and only this leaf counts or
-    emits, in one loop over the penultimate trees allowed; the nodes above
-    it record in ``chosen`` the index they chose.  For each such tree j
-    the leaf takes ``hit``, the allowed last trees that clash with j, and
-    adds the ``bit_count()`` of the rest, ``tail ^ hit``.  Each visit, a
-    choice for every part but the last that leaves some last tree allowed,
-    is one call ``emit(chosen, tail ^ hit)``: ``chosen`` holds the index
-    chosen in each part but the last and the walk goes on to overwrite
-    it, so ``emit`` reads it during the call, and the mask has bit x set
-    for each last tree x that completes a TI join.
+    The recursion, ``reach``, only picks prefixes: for every reachable
+    choice of the parts before the penultimate one it yields the tuple of
+    indices chosen, the penultimate trees allowed and ``tail``, the last
+    trees allowed.  The leaf runs once per yielded node, in one loop over
+    the penultimate trees allowed: for each such tree j it takes ``hit``,
+    the allowed last trees that clash with j, and adds the
+    ``bit_count()`` of the rest, ``tail ^ hit``.  Each visit, a choice for
+    every part but the last that leaves some last tree allowed, is one
+    call ``emit(chosen, tail ^ hit)``: ``chosen`` is a new tuple of the
+    index chosen in each part but the last, which ``emit`` may keep, and
+    the mask has bit x set for each last tree x that completes a TI join.
     """
-    count = 0
     last = len(pools) - 1
-    chosen = [0] * last
 
-    # walk's closure cycle stays on purpose: breaking it raised the peak RSS
-    # of `titrees -c 36 --threads 1` from 66.5-66.7 MB to 83.1-83.7 MB (ROADMAP item 9).
-    def walk(i: int, forbidden: list[int]) -> None:
-        nonlocal count
+    # reach's closure cycle stays on purpose: a module-level generator with no cycle raised
+    # the peak RSS of `titrees -c 36 --threads 1` from 64.6-64.7 MB to 83.1-83.5 MB (ROADMAP item 9).
+    def reach(i: int, forbidden: list[int], chosen: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int, int]]:
         allowed = pools[i].full & ~forbidden[0]
-        if i < last - 1:
-            later = list(zip(clash[i], forbidden[1:]))
-            for j in _set_bits(allowed):
-                chosen[i] = j
-                walk(i + 1, [rows[j] | hit for rows, hit in later])
+        if i == last - 1:
+            yield chosen, allowed, pools[last].full & ~forbidden[1]
             return
-        rows, tail = clash[i][0], pools[last].full & ~forbidden[1]
+        later = list(zip(clash[i], forbidden[1:]))
+        for j in _set_bits(allowed):
+            yield from reach(i + 1, [rows[j] | hit for rows, hit in later], (*chosen, j))
+
+    count, rows = 0, clash[last - 1][0]
+    for chosen, allowed, tail in reach(0, [0] * len(pools), ()):
         size = tail.bit_count()
         for j in _set_bits(allowed):
             hit = tail & rows[j]
             count += size - hit.bit_count()
             if emit is not None and hit != tail:
-                chosen[i] = j
-                emit(chosen, tail ^ hit)
-
-    walk(0, [0] * len(pools))
+                emit((*chosen, j), tail ^ hit)
     return count
 
 
@@ -329,7 +326,7 @@ def _scan_order(tables: dict[int, KeyTable], k: int, sequences: Sequence[Increas
         tails = {c: [segment((0, *map((k - c).__add__, t.parents[1:])), k - c, k) for t in trees[c]]
                  for c in {seq[-1] for seq in sequences}}
 
-        def emit(seq: IncreasingSequence, chosen: list[int], mask: int) -> None:
+        def emit(seq: IncreasingSequence, chosen: tuple[int, ...], mask: int) -> None:
             joined = join_wti_trees([trees[s][x] for s, x in zip(seq, chosen)])
             if joined is None:
                 raise RuntimeError(f"offset masks admitted a non-TI join of order {k}")

@@ -222,6 +222,19 @@ class TestOutputFile:
         assert status == 0
         assert target.read_bytes() == serial
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["-c", "0"], ["verify", "23"], ["-c", "5", "1"], ["-g", "5", "--threads", "0"]],
+    )
+    def test_rejected_arguments_leave_the_file_untouched(self, tmp_path, capsys, argv):
+        # The arguments are checked before the file is opened, which truncates it.
+        target = tmp_path / "kept.txt"
+        target.write_bytes(b"earlier output\n")
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*argv, "--output", str(target)])
+        assert excinfo.value.code == 1
+        assert target.read_bytes() == b"earlier output\n"
+
     def test_unwritable_path_exits_3(self, tmp_path, capsys):
         status = cli.main(
             ["-c", "5", "--output", str(tmp_path / "missing" / "x.txt")]

@@ -336,7 +336,7 @@ class TestBitSlicedScanAgainstReference:
                 stored.clear()
                 firsts.clear()
                 assert sum(_scan_order(tables, k, _phase2_sequences(k, n - 1), None, None)) == census[k], k
-                gc.collect()  # a scan's walk closure is a reference cycle
+                gc.collect()  # a scan's reach closure is a reference cycle
                 assert all(ref() is None for ref in live), k
         finally:
             gc.unfreeze()
@@ -500,8 +500,11 @@ class TestEmission:
     def test_each_sequence_emits_exactly_the_trees_its_scan_counts(self, m, monkeypatch):
         # The scan counts a visit's trees and hands their mask to the
         # sequence's emitter; the two must agree sequence by sequence.
+        # ``emit`` may keep what it gets: each kept ``chosen`` must still
+        # equal the copy taken during its call after the whole run.
         real_scan = generation._scan_sequence
         scans: list[tuple[int, int]] = []  # (count, trees passed to emit)
+        kept: list[tuple[int, object, tuple[int, ...]]] = []  # (parts less 1, chosen, its copy)
 
         def watched_scan(pools, clash, emit):
             emitted = 0
@@ -509,6 +512,7 @@ class TestEmission:
             def counted(chosen, mask):
                 nonlocal emitted
                 emitted += mask.bit_count()
+                kept.append((len(pools) - 1, chosen, tuple(chosen)))
                 emit(chosen, mask)
 
             count = real_scan(pools, clash, counted)
@@ -522,6 +526,8 @@ class TestEmission:
         assert len(scans) == sum(len(_phase2_sequences(k, n - 1 if m is None else m)) for k in range(3, n + 1))
         assert all(count == emitted for count, emitted in scans)
         assert sum(count for count, _ in scans) == len(trees) - 1 == sum(census.values()) - 1 > 0
+        assert kept and all(type(chosen) is tuple and len(chosen) == parts and chosen == copy
+                            for parts, chosen, copy in kept)
 
     def test_non_ti_join_is_an_error_not_an_assert(self, monkeypatch):
         # Only the phase-2 joins: phase 1 calls its own binding.
