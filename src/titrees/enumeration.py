@@ -37,18 +37,14 @@ def generate_increasing(alpha: int, beta: int, gamma: int) -> Iterator[Increasin
     """
     if alpha < 1 or beta < 1 or gamma < 1:
         raise ValueError("alpha, beta and gamma must all be positive")
-    parts: list[int] = []
 
     def extend(remaining: int, minimum: int, slots: int) -> Iterator[IncreasingSequence]:
         if remaining == 0:
-            yield tuple(parts)
-            return
-        if slots == 0:
-            return
-        for s in range(minimum, min(beta, remaining) + 1):
-            parts.append(s)
-            yield from extend(remaining - s, s + 1, slots - 1)
-            parts.pop()
+            yield ()
+        elif slots:
+            for s in range(minimum, min(beta, remaining) + 1):
+                for rest in extend(remaining - s, s + 1, slots - 1):
+                    yield (s, *rest)
 
     yield from extend(alpha, 1, gamma)
 

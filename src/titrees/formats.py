@@ -32,14 +32,10 @@ _PRINTABLE = bytes((b + 63) % 256 for b in range(256))
 _FROM_BASE64 = bytes.maketrans(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(64)))
 
 
-def _check_order(order: int) -> None:
-    if not 1 <= order <= GRAPH6_MAX_ORDER:
-        raise ValueError(f"order must be in 1..{GRAPH6_MAX_ORDER}, got {order}")
-
-
 def _frame(tag: int, order: int, groups: int) -> int:
     """The raw line, bytes less 63 mod 256, of the raw ``tag`` (0: none), order, ``groups`` '?'s and newline."""
-    _check_order(order)
+    if not 1 <= order <= GRAPH6_MAX_ORDER:
+        raise ValueError(f"order must be in 1..{GRAPH6_MAX_ORDER}, got {order}")
     if order > 62:  # '~' (raw 63) and the order's two high 6-bit groups, then its low one
         tag = (tag << 8 | 63) << 16 | (order >> 12 & 63) << 8 | order >> 6 & 63
     return (tag << 8 | order & 63) << 8 * groups + 8 | 203  # a raw '?' is 0 and a raw newline 203

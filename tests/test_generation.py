@@ -879,6 +879,19 @@ class TestParallel:
         assert no_children_left()
         assert "ZeroDivisionError: broken scan" in capfd.readouterr().err
 
+    def test_a_worker_that_fails_after_its_last_frame_is_an_error(self, monkeypatch):
+        # Every frame arrives whole, so only the exit status tells the
+        # parent that the workers failed.
+        real_exit = os._exit
+        monkeypatch.setattr(os, "_exit", lambda status: real_exit(1))
+        lines: list[bytes] = []
+        with pytest.raises(RuntimeError, match="2 of 2 phase-2 workers failed"):
+            generate_ti_trees(16, None, lines.append, workers=2, encoder=graph6_line)
+        assert no_children_left()
+        serial: list[bytes] = []
+        generate_ti_trees(16, None, serial.append, encoder=graph6_line)
+        assert b"".join(lines) == b"".join(serial)
+
     def test_an_exception_in_func_kills_and_reaps_the_workers(self):
         # The single vertex is passed on before any worker starts; the
         # next call carries the first task's first block, while the

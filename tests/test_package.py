@@ -8,6 +8,7 @@ import importlib
 import io
 import pickle
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,25 @@ def test_formats_imports_nothing_from_the_package():
         or (isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "titrees" for alias in node.names))
     ]
     assert not found, f"package imports in formats.py at lines {found}"
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    # The README promises a pure standard-library runtime; relative
+    # imports stay inside the package.
+    sources = sorted((ROOT / "src" / "titrees").glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for name in (
+            [alias.name for alias in node.names]
+            if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0 else []
+        )
+        if name.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert not found, f"imports outside the standard library: {found}"
 
 
 def test_every_module_all_names_resolve():
