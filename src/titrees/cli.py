@@ -3,10 +3,12 @@
 Usage:
     titrees <mode> <n_max> [m] [--threads T] [--output PATH]
 
-The mode comes first and is one of -c/count (per-order census), -g/graph6,
--s/sparse6, -p/parent-list (one encoded tree per line) or verify (compare
-generator output against the brute-force oracle).  n_max bounds the tree
-order and the optional m bounds the maximum vertex degree.
+The mode comes first and is one of count (per-order census), graph6,
+sparse6, parent-list (one encoded tree per line) or verify (compare
+generator output against the brute-force oracle).  Each mode but verify
+is spelled as its word, as -x with x its first letter, or as --mode:
+count, -c and --count are one mode.  n_max bounds the tree order and the
+optional m bounds the maximum vertex degree.
 
 Exit status: 0 success, 1 usage error, 2 verification mismatch, 3 I/O
 failure, 130 interrupted.  A reader that closes the output pipe early
@@ -35,22 +37,14 @@ EXIT_VERIFY_MISMATCH = 2
 EXIT_IO = 3
 EXIT_INTERRUPTED = 130
 
-_MODE_ALIASES = {
-    "-c": "count",
-    "-g": "graph6",
-    "-s": "sparse6",
-    "-p": "parent-list",
-    "--count": "count",
-    "--graph6": "graph6",
-    "--sparse6": "sparse6",
-    "--parent-list": "parent-list",
-}
-
 _ENCODERS = {
     "graph6": graph6_line,
     "sparse6": sparse6_line,
     "parent-list": parent_list_line,
 }
+# Every mode, each but the last also spelled -x, x its first letter, and --mode.
+_MODES = ["count", *_ENCODERS, "verify"]
+_SPELLINGS = {spelling: mode for mode in _MODES[:-1] for spelling in (f"-{mode[0]}", f"--{mode}")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,8 +63,8 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument(
         "mode",
-        choices=["count", "graph6", "sparse6", "parent-list", "verify"],
-        help="count (-c), graph6 (-g), sparse6 (-s), parent-list (-p), or verify",
+        choices=_MODES,
+        help=", ".join(f"{mode} (-{mode[0]})" for mode in _MODES[:-1]) + f", or {_MODES[-1]}",
     )
     parser.add_argument("n_max", type=int, help="maximum tree order, >= 1")
     parser.add_argument(
@@ -127,20 +121,18 @@ def _run(args: argparse.Namespace, out: BinaryIO) -> int:
     if args.mode == "verify":
         return _run_verify(args.n_max, args.m, args.threads, out)
 
-    if args.mode == "count":
-        census = generate_ti_trees(args.n_max, args.m, workers=args.threads)
-        for order, count in census.items():
-            out.write(f"{order} {count}\n".encode())
-        return EXIT_OK
-
-    generate_ti_trees(args.n_max, args.m, out.write, workers=args.threads, encoder=_ENCODERS[args.mode])
+    # count is the one mode with no encoder, so its func is None and it writes the census instead.
+    encoder = _ENCODERS.get(args.mode)
+    census = generate_ti_trees(args.n_max, args.m, encoder and out.write, workers=args.threads, encoder=encoder)
+    if encoder is None:
+        out.writelines(f"{order} {count}\n".encode() for order, count in census.items())
     return EXIT_OK
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in _MODE_ALIASES:
-        argv[0] = _MODE_ALIASES[argv[0]]
+    if argv:
+        argv[0] = _SPELLINGS.get(argv[0], argv[0])
     parser = _build_parser()
     args = parser.parse_args(argv)
 

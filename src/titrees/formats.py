@@ -98,6 +98,8 @@ def sparse6_line(parents: tuple[int, ...]) -> bytes:
 
 def parent_list_line(parents: tuple[int, ...]) -> bytes:
     """One text line with the parents of vertices 1..n-1; just the newline for K1."""
+    if not parents:
+        raise ValueError("order must be >= 1, got 0")
     return _parent_list_segment(parents, 0, len(parents))
 
 

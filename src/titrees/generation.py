@@ -57,7 +57,7 @@ from array import array
 from functools import partial, reduce
 from itertools import groupby, islice
 from math import prod
-from operator import itemgetter, or_
+from operator import index, itemgetter, or_
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .enumeration import IncreasingSequence, WTIPool, generate_increasing, generate_wti_trees
@@ -461,7 +461,7 @@ def generate_ti_trees(
     """
     if n < 1:
         raise ValueError(f"order bound must be >= 1, got {n}")
-    if m is not None and m < 2:
+    if m is not None and index(m) < 2:  # a non-integer m raises TypeError
         raise ValueError(f"degree bound must be >= 2, got {m}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

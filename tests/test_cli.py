@@ -80,6 +80,31 @@ class TestEncodingModes:
         assert out.decode().splitlines()[-1] == expected
 
 
+class TestModeSpellings:
+    @pytest.mark.parametrize(
+        "spellings",
+        [
+            ("count", "-c", "--count"),
+            ("graph6", "-g", "--graph6"),
+            ("sparse6", "-s", "--sparse6"),
+            ("parent-list", "-p", "--parent-list"),
+        ],
+    )
+    def test_word_letter_and_long_spellings_agree(self, capsysbinary, spellings):
+        runs = [run_cli(capsysbinary, spelling, "11", "--threads", "1") for spelling in spellings]
+        assert runs[0][1]
+        assert runs == [(0, runs[0][1])] * 3
+
+    def test_help_lists_every_mode_and_its_letter(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["--help"])
+        assert excinfo.value.code == 0
+        # argparse wraps the help to the terminal width.
+        assert "count (-c), graph6 (-g), sparse6 (-s), parent-list (-p), or verify" in " ".join(
+            capsys.readouterr().out.split()
+        )
+
+
 class TestDeterminismAndParallel:
     def test_deterministic_runs_are_byte_identical(self, capsysbinary):
         _, first = run_cli(capsysbinary, "-p", "15", "--threads", "1")
@@ -195,6 +220,12 @@ class TestUsageErrors:
             ["-c", "5", "--threads", "0"],
             ["-c", "5", "--deterministic"],
             ["-c", "5", "--verify-against-oracle"],
+            [],
+            ["-x", "5"],
+            ["-v", "5"],
+            ["--verify", "5"],
+            ["-count", "5"],
+            ["--c", "5"],
         ],
     )
     def test_exit_code_1(self, capsysbinary, argv):

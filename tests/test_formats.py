@@ -202,6 +202,13 @@ class TestPrintableRange:
                     assert all(63 <= byte <= 126 for byte in payload)
 
 
+class TestOrderZero:
+    @pytest.mark.parametrize("encoder", ENCODERS, ids=lambda e: e.__name__)
+    def test_empty_tuple_is_rejected(self, encoder):
+        with pytest.raises(ValueError):
+            encoder(())
+
+
 class TestParentList:
     def test_single_vertex_empty_line(self):
         assert parent_list_line((0,)) == b"\n"

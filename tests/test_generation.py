@@ -154,6 +154,8 @@ class TestCensus:
             generate_ti_trees(8, 1)
         with pytest.raises(ValueError):
             generate_ti_trees(8, workers=0)
+        with pytest.raises(TypeError):
+            generate_ti_trees(14, 2.5)  # not a silently unbounded census
 
 
 class TestAgainstReferencePath:
